@@ -28,7 +28,7 @@ from .adequacy import (
     weight_sweep,
 )
 from .ensemble import Ensemble
-from .errors import ConfigError, IOErrorSS, SynthSeriesError, ValidationError
+from .errors import ChecksumMismatch, ConfigError, IOErrorSS, SynthSeriesError, ValidationError
 from .kernels import make_kernel
 from .nnlb import generate_nnlb_batch
 from .perturb import ClampPolicy, OffsetDistribution, altered_difference, direction_audit, incremental_select
@@ -47,21 +47,73 @@ def _load_config(path: str) -> dict[str, Any]:
         raise IOErrorSS(f"config file not found: {p}")
     try:
         cfg = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg
 
 
-def _require(cfg: dict[str, Any], key: str) -> Any:
+def _coerce(value: Any, kind: type, key: str) -> Any:
+    """``kind(value)``; a config value that does not convert is a config error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        name = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key!r} must be {name}, got {value!r}") from None
+
+
+def _require(cfg: dict[str, Any], key: str, kind: type | None = None) -> Any:
     if key not in cfg:
         raise ConfigError(f"config missing required key {key!r}")
-    return cfg[key]
+    return cfg[key] if kind is None else _coerce(cfg[key], kind, key)
+
+
+def _seed(cfg: dict[str, Any], key: str) -> int:
+    seed = _require(cfg, key, int)
+    if seed < 0:
+        raise ConfigError(f"{key!r} must be a non-negative integer, got {seed}")
+    return seed
+
+
+def _path(cfg: dict[str, Any], key: str) -> Path:
+    value = _require(cfg, key)
+    if not isinstance(value, str):
+        raise ConfigError(f"{key!r} must be a path string, got {value!r}")
+    return Path(value)
+
+
+def _get(cfg: dict[str, Any], key: str, kind: type, default: Any) -> Any:
+    return _coerce(cfg.get(key, default), kind, key)
+
+
+def _flag(cfg: dict[str, Any], key: str, default: bool) -> bool:
+    value = cfg.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key!r} must be true or false, got {value!r}")
+    return value
+
+
+def _section(cfg: dict[str, Any], key: str, default: dict[str, Any] | None = None) -> dict[str, Any]:
+    """A nested JSON object: required unless a default is given."""
+    value = _require(cfg, key) if default is None else cfg.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key!r} must be a JSON object, got {value!r}")
+    return value
+
+
+def _numbers(cfg: dict[str, Any], key: str) -> list[float]:
+    """A list of JSON numbers, passed on as written (outputs echo them)."""
+    values = _require(cfg, key)
+    if not isinstance(values, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+    ):
+        raise ConfigError(f"{key!r} must be a list of numbers, got {values!r}")
+    return values
 
 
 def _load_series(cfg: dict[str, Any], key: str, value_column: str) -> HourlySeries:
-    path = Path(_require(cfg, key))
+    path = _path(cfg, key)
     if not path.exists():
         raise IOErrorSS(f"input file not found: {path}")
     return load_csv(path, value_column=value_column)
@@ -79,21 +131,23 @@ def cmd_generate(cfg: dict[str, Any], threads: int) -> int:
     value_column = cfg.get("value_column", "value")
     source = _load_series(cfg, "input", value_column)
     method = _require(cfg, "method")
-    params = _require(cfg, "params")
-    B = int(_require(cfg, "B"))
-    seed = int(_require(cfg, "seed"))
-    out_dir = Path(_require(cfg, "output_dir"))
-    include_self = bool(params.get("include_self", True))
+    params = _section(cfg, "params")
+    B = _require(cfg, "B", int)
+    seed = _seed(cfg, "seed")
+    out_dir = _path(cfg, "output_dir")
+    include_self = _flag(params, "include_self", True)
     if method == "nnlb":
-        kernel = make_kernel(params.get("kernel", "harmonic"), int(_require(params, "k")))
+        k = _require(params, "k", int)
+        kernel = make_kernel(params.get("kernel", "harmonic"), k)
         ens = generate_nnlb_batch(
-            source, int(_require(params, "lag")), int(params["k"]), B, seed,
+            source, _require(params, "lag", int), k, B, seed,
             kernel=kernel, include_self=include_self, threads=threads,
         )
     elif method == "sbb":
-        kernel = make_kernel(params.get("kernel", "uniform"), int(_require(params, "p")))
+        p = _require(params, "p", int)
+        kernel = make_kernel(params.get("kernel", "uniform"), p)
         ens = generate_sbb_batch(
-            source, int(_require(params, "sash")), int(params["p"]), B, seed,
+            source, _require(params, "sash", int), p, B, seed,
             kernel=kernel, include_self=include_self, threads=threads,
         )
     else:
@@ -106,21 +160,22 @@ def cmd_generate(cfg: dict[str, Any], threads: int) -> int:
 def cmd_perturb(cfg: dict[str, Any], threads: int) -> int:
     value_column = cfg.get("value_column", "value")
     method = _require(cfg, "method")
-    out_dir = Path(_require(cfg, "output_dir"))
+    out_dir = _path(cfg, "output_dir")
     if method == "incremental":
         source = _load_series(cfg, "input", value_column)
-        seed = int(_require(cfg, "seed"))
-        dcfg = _require(cfg, "distribution")
+        seed = _seed(cfg, "seed")
+        dcfg = _section(cfg, "distribution")
+        below = dcfg.get("below_probability")
         dist = OffsetDistribution(
             kind=_require(dcfg, "kind"),
-            mean=float(dcfg.get("mean", 0.0)),
-            std=float(dcfg.get("std", 1.0)),
-            below_probability=dcfg.get("below_probability"),
+            mean=_get(dcfg, "mean", float, 0.0),
+            std=_get(dcfg, "std", float, 1.0),
+            below_probability=None if below is None else _coerce(below, float, "below_probability"),
         )
-        ccfg = cfg.get("clamp", {})
+        ccfg = _section(cfg, "clamp", {})
         clamp = ClampPolicy(
-            alpha_max=float(ccfg.get("alpha_max", 1.0)),
-            alpha_min=float(ccfg.get("alpha_min", -1.0)),
+            alpha_max=_get(ccfg, "alpha_max", float, 1.0),
+            alpha_min=_get(ccfg, "alpha_min", float, -1.0),
         )
         altered = incremental_select(source, dist, clamp, seed)
         audit_source = source
@@ -128,12 +183,14 @@ def cmd_perturb(cfg: dict[str, Any], threads: int) -> int:
         high = _load_series(cfg, "high", value_column)
         low = _load_series(cfg, "low", value_column)
         altered = altered_difference(
-            high, low, float(_require(cfg, "alpha")),
-            delta_nonneg=bool(cfg.get("delta_nonneg", False)),
-            result_nonneg=bool(cfg.get("result_nonneg", False)),
+            high, low, _require(cfg, "alpha", float),
+            delta_nonneg=_flag(cfg, "delta_nonneg", False),
+            result_nonneg=_flag(cfg, "result_nonneg", False),
         )
         audit_key = cfg.get("audit_against", "high")
-        audit_source = _load_series(cfg, audit_key, value_column)
+        if audit_key not in ("high", "low"):
+            raise ConfigError(f"'audit_against' must be 'high' or 'low', got {audit_key!r}")
+        audit_source = high if audit_key == "high" else low
     else:
         raise ConfigError(f"unknown method {method!r} (choose incremental or altered_difference)")
 
@@ -141,8 +198,8 @@ def cmd_perturb(cfg: dict[str, Any], threads: int) -> int:
     write_csv(altered.values, out_dir / "altered.csv")
     audit = direction_audit(
         altered, audit_source,
-        chunk_hours=int(cfg.get("chunk_hours", 24)),
-        threshold_fraction=float(cfg.get("threshold_fraction", 0.05)),
+        chunk_hours=_get(cfg, "chunk_hours", int, 24),
+        threshold_fraction=_get(cfg, "threshold_fraction", float, 0.05),
     )
     _write_json(audit, out_dir / "audit.json")
     manifest = {
@@ -159,19 +216,23 @@ def cmd_perturb(cfg: dict[str, Any], threads: int) -> int:
 
 def cmd_analyze(cfg: dict[str, Any], threads: int) -> int:
     value_column = cfg.get("value_column", "value")
-    ens = Ensemble.load(_require(cfg, "ensemble_dir"))
+    ens = Ensemble.load(_path(cfg, "ensemble_dir"))
     original = _load_series(cfg, "original", value_column)
-    out_dir = Path(_require(cfg, "output_dir"))
-    autocorr_lag = int(cfg.get("autocorr_lag", 24))
+    if original.checksum() != ens.source_checksum:
+        raise ChecksumMismatch(
+            f"original {cfg['original']} is not the series the ensemble in {cfg['ensemble_dir']} was generated from"
+        )
+    out_dir = _path(cfg, "output_dir")
+    autocorr_lag = _get(cfg, "autocorr_lag", int, 24)
     table = st.ensemble_summary_table(ens, original, autocorr_lag)
     st.write_table_csv(table, out_dir / "summary_table.csv")
-    tcfg = cfg.get("threshold", {"kind": "proportional", "alpha": 0.05})
+    tcfg = _section(cfg, "threshold", {"kind": "proportional", "alpha": 0.05})
     threshold = st.Threshold(
         kind=tcfg.get("kind", "proportional"),
-        e=float(tcfg.get("e", 0.0)),
-        alpha=float(tcfg.get("alpha", 0.0)),
+        e=_get(tcfg, "e", float, 0.0),
+        alpha=_get(tcfg, "alpha", float, 0.0),
     )
-    length = int(cfg.get("chunk_hours", 24))
+    length = _get(cfg, "chunk_hours", int, 24)
     statistic = cfg.get("statistic", "underage_count")
     report = st.empirical_distribution(ens, original, statistic, length, threshold)
     st.histogram_csv(report, out_dir / "exceedance_histogram.csv")
@@ -195,39 +256,39 @@ def cmd_vre(cfg: dict[str, Any], threads: int) -> int:
     wind = _load_series(cfg, "wind", value_column)
     nuclear = _load_series(cfg, "nuclear", value_column)
     load = _load_series(cfg, "load", value_column)
-    out_dir = Path(_require(cfg, "output_dir"))
-    fraction = float(cfg.get("shortfall_fraction", 0.9))
-
+    out_dir = _path(cfg, "output_dir")
+    fraction = _get(cfg, "shortfall_fraction", float, 0.9)
+    if not any(k in cfg for k in ("weights", "sweep", "ensembles")):
+        raise ConfigError("vre config needs at least one of: weights, sweep, ensembles")
+    if "ensembles" in cfg and "weights" not in cfg:
+        raise ConfigError("ensemble adequacy requires fixed 'weights'")
     if "weights" in cfg:
-        w = cfg["weights"]
-        weights = VreWeights(float(_require(w, "solar")), float(_require(w, "wind")))
+        w = _section(cfg, "weights")
+        weights = VreWeights(_require(w, "solar", float), _require(w, "wind", float))
         vre = combine_vre(solar, wind, weights)
         result = compute_adequacy(vre, nuclear, load, fraction)
         _write_json({"weights": w, **result.as_dict()}, out_dir / "adequacy.json")
 
     if "sweep" in cfg:
-        sw = cfg["sweep"]
+        sw = _section(cfg, "sweep")
         results = weight_sweep(
             solar, wind, nuclear, load,
-            curtailment_cap=float(_require(sw, "curtailment_cap")),
-            solar_weights=_require(sw, "solar_weights"),
-            wind_weights=_require(sw, "wind_weights"),
+            curtailment_cap=_require(sw, "curtailment_cap", float),
+            solar_weights=_numbers(sw, "solar_weights"),
+            wind_weights=_numbers(sw, "wind_weights"),
             shortfall_fraction=fraction,
         )
         sweep_table_csv(results, out_dir / "sweep.csv")
 
     if "ensembles" in cfg:
-        e = cfg["ensembles"]
-        if "weights" not in cfg:
-            raise ConfigError("ensemble adequacy requires fixed 'weights'")
-        w = cfg["weights"]
-        weights = VreWeights(float(w["solar"]), float(w["wind"]))
+        e = _section(cfg, "ensembles")
+        pairs = e.get("pairs")
         results = ensemble_adequacy(
-            Ensemble.load(_require(e, "solar_dir")),
-            Ensemble.load(_require(e, "wind_dir")),
+            Ensemble.load(_path(e, "solar_dir")),
+            Ensemble.load(_path(e, "wind_dir")),
             nuclear, load, weights,
-            pairing_seed=int(_require(e, "pairing_seed")),
-            pairs=e.get("pairs"),
+            pairing_seed=_seed(e, "pairing_seed"),
+            pairs=None if pairs is None else _coerce(pairs, int, "pairs"),
             shortfall_fraction=fraction,
         )
         hist = shortfall_histogram(results)
@@ -249,8 +310,6 @@ def cmd_vre(cfg: dict[str, Any], threads: int) -> int:
             for k, v in hist.items():
                 writer.writerow([k, v])
 
-    if not any(k in cfg for k in ("weights", "sweep", "ensembles")):
-        raise ConfigError("vre config needs at least one of: weights, sweep, ensembles")
     print(f"wrote case-study outputs to {out_dir}")
     return EXIT_OK
 

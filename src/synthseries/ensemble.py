@@ -3,32 +3,33 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, IOErrorSS
+from .errors import ChecksumMismatch, ConfigError, IOErrorSS, MalformedManifest
 from .series import HourlySeries, load_csv, write_csv
 
 MANIFEST_NAME = "manifest.json"
 
+# recorded in every manifest in place of a per-series seed list
+CHILD_SEED_RULE = "series b is drawn from numpy.random.default_rng([master_seed, b])"
 
-def child_seed(master_seed: int, series_index: int) -> int:
-    """Deterministic per-series seed.
 
-    Mixing function: ``SeedSequence([master_seed, series_index])`` from
-    numpy, reduced to a single 128-bit state word. Fixed for the life of
-    the file format; two runs with equal master seeds derive identical
-    children regardless of generation order or thread count.
+def child_seed(master_seed: int, series_index: int) -> tuple[int, int]:
+    """The seed of one series: ``np.random.default_rng(child_seed(m, b))``
+    is the stream series b was drawn from (``SeedSequence([m, b])``).
+
+    Fixed for the life of the file format; two runs with equal master seeds
+    derive identical children regardless of generation order or thread count.
     """
-    ss = np.random.SeedSequence([int(master_seed), int(series_index)])
-    return int(ss.generate_state(2, dtype=np.uint64).view(np.void).tobytes().hex(), 16)
+    return (int(master_seed), int(series_index))
 
 
 def child_rng(master_seed: int, series_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(master_seed), int(series_index)]))
+    return np.random.default_rng(child_seed(master_seed, series_index))
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,6 @@ class Ensemble:
     config: dict[str, Any]
     master_seed: int
     source_checksum: str
-    child_seeds: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
         if len(self.series) < 1:
@@ -48,6 +48,10 @@ class Ensemble:
 
     def __len__(self) -> int:
         return len(self.series)
+
+    @property
+    def child_seeds(self) -> tuple[tuple[int, int], ...]:
+        return tuple(child_seed(self.master_seed, b) for b in range(len(self)))
 
     def means(self) -> np.ndarray:
         return np.array([s.values.mean() for s in self.series])
@@ -67,7 +71,7 @@ class Ensemble:
             "config": self.config,
             "master_seed": self.master_seed,
             "source_checksum": self.source_checksum,
-            "child_seeds": [str(c) for c in self.child_seeds],
+            "child_seed_rule": CHILD_SEED_RULE,
             "series_files": names,
             "series_checksums": [s.checksum() for s in self.series],
         }
@@ -78,20 +82,51 @@ class Ensemble:
 
     @classmethod
     def load(cls, directory: str | Path) -> "Ensemble":
+        """Read a saved ensemble, checking every member against its manifest checksum."""
         directory = Path(directory)
-        manifest_path = directory / MANIFEST_NAME
-        if not manifest_path.exists():
-            raise IOErrorSS(f"no {MANIFEST_NAME} in {directory}")
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        series = tuple(load_csv(directory / name) for name in manifest["series_files"])
+        manifest = _read_manifest(directory)
+        series = []
+        for name, expected in zip(manifest["series_files"], manifest["series_checksums"]):
+            s = load_csv(directory / name)
+            if s.checksum() != expected:
+                raise ChecksumMismatch(f"{directory / name} does not match its manifest checksum")
+            series.append(s)
         return cls(
-            series=series,
+            series=tuple(series),
             method=manifest["method"],
             config=manifest["config"],
-            master_seed=int(manifest["master_seed"]),
+            master_seed=manifest["master_seed"],
             source_checksum=manifest["source_checksum"],
-            child_seeds=tuple(int(c) for c in manifest.get("child_seeds", [])),
         )
+
+
+_MANIFEST_FIELDS = {
+    "method": str,
+    "config": dict,
+    "master_seed": int,
+    "source_checksum": str,
+    "series_files": list,
+    "series_checksums": list,
+}
+
+
+def _read_manifest(directory: Path) -> dict[str, Any]:
+    path = directory / MANIFEST_NAME
+    if not path.exists():
+        raise IOErrorSS(f"no {MANIFEST_NAME} in {directory}")
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise MalformedManifest(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise MalformedManifest(f"{path}: root must be a JSON object")
+    for key, kind in _MANIFEST_FIELDS.items():
+        if not isinstance(manifest.get(key), kind):
+            raise MalformedManifest(f"{path}: {key!r} missing or not a JSON {kind.__name__}")
+    files, checksums = manifest["series_files"], manifest["series_checksums"]
+    if not all(isinstance(x, str) for x in files + checksums) or len(files) != len(checksums):
+        raise MalformedManifest(f"{path}: series_files and series_checksums must be equal-length lists of strings")
+    return manifest
 
 
 def run_batch(
@@ -128,5 +163,4 @@ def run_batch(
         config=config,
         master_seed=master_seed,
         source_checksum=source.checksum(),
-        child_seeds=tuple(child_seed(master_seed, b) for b in range(B)),
     )

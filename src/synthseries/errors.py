@@ -76,6 +76,17 @@ class PTooLarge(ConfigError):
     pass
 
 
+# --- ensembles ---------------------------------------------------------
+
+
+class MalformedManifest(IOErrorSS):
+    """An ensemble manifest that is not JSON or lacks a required field."""
+
+
+class ChecksumMismatch(ValidationError):
+    """Data that does not match the checksum recorded for it."""
+
+
 # --- perturbation ------------------------------------------------------
 
 

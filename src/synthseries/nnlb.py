@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from .ensemble import Ensemble, child_rng, run_batch
+from .ensemble import Ensemble, run_batch
 from .errors import InvalidLag, KTooLarge
 from .kernels import ResamplingKernel, harmonic_kernel
 from .neighbors import nearest_rows
@@ -116,12 +116,3 @@ def generate_nnlb_batch(
         threads=threads,
     )
 
-
-def generate_nnlb_single_from_batch(
-    source: HourlySeries, lag: int, k: int, master_seed: int, series_index: int, **kw
-) -> HourlySeries:
-    """The series that a batch would place at ``series_index``."""
-    kernel = kw.get("kernel") or harmonic_kernel(k)
-    pools = find_neighbor_pools(build_lag_matrix(source, lag), k, kw.get("include_self", True))
-    rng = child_rng(master_seed, series_index)
-    return HourlySeries(_sample(source, pools, kernel, rng))

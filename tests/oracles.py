@@ -1,7 +1,9 @@
 """Independent brute-force reference implementations.
 
 Pure-Python, loop-based, deliberately sharing no code with the package:
-these are the oracles the fast paths are checked against.
+these are the oracles the fast paths are checked against. The one numpy
+reference, ``stable_sort_pools``, is the full-sort neighbour search, kept so
+that pool distances can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -92,3 +94,30 @@ def bisect_norm_ppf(p, tol=1e-12):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def stable_sort_pools(matrix, k, include_self):
+    """Pools by a full stable sort of every row: the plain numpy search the
+    partitioned one must reproduce byte for byte (same ``cdist`` distances,
+    ties by ascending index, self moved to the front when included)."""
+    import numpy as np
+    from scipy.spatial.distance import cdist
+
+    m = np.asarray(matrix, dtype=float)
+    n = m.shape[0]
+    d = cdist(m, m)
+    d[np.arange(n), np.arange(n)] = 0.0 if include_self else np.inf
+    order = np.argsort(d, axis=1, kind="stable")[:, :k]
+    indices = order.copy()
+    distances = np.take_along_axis(d, order, axis=1)
+    if include_self:
+        for i in range(n):
+            if indices[i, 0] != i:
+                pos = np.nonzero(indices[i] == i)[0]
+                # self tied out of the first k: it displaces the last entry
+                j = int(pos[0]) if pos.size else k - 1
+                indices[i, 1 : j + 1] = indices[i, 0:j].copy()
+                indices[i, 0] = i
+                distances[i, 1 : j + 1] = distances[i, 0:j].copy()
+                distances[i, 0] = 0.0
+    return indices, distances

@@ -4,8 +4,10 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from synthseries.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from synthseries.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 
 from .conftest import DATA_DIR
 
@@ -229,3 +231,75 @@ def test_bad_json_config(tmp_path):
 
 def test_missing_config_file(tmp_path):
     assert main(["generate", str(tmp_path / "absent.json")]) == EXIT_IO
+
+
+class TestExitCodes:
+    """Every bad input ends in exit code 2, 3 or 4 with a message, never a traceback."""
+
+    def _generate(self, tmp_path, source=SOLAR, **overrides):
+        cfg = {"input": source, "method": "sbb", "params": {"sash": 2, "p": 4}, "B": 2, "seed": 1,
+               "output_dir": str(tmp_path / "ens")}
+        cfg.update(overrides)
+        assert main(["generate", write_config(tmp_path, cfg)]) == EXIT_OK
+        return tmp_path / "ens"
+
+    def _analyze(self, tmp_path, ens, original=SOLAR):
+        cfg = write_config(tmp_path, {"ensemble_dir": str(ens), "original": original,
+                                      "output_dir": str(tmp_path / "analysis")})
+        return main(["analyze", cfg])
+
+    @pytest.mark.parametrize("params, message", [
+        ({"sash": "two", "p": 4}, "'sash' must be an integer"),
+        ({"sash": 2, "p": [4]}, "'p' must be an integer"),
+        ({"sash": 2, "p": None}, "'p' must be an integer"),
+        ({"sash": 2, "p": 4, "include_self": "false"}, "'include_self' must be true or false"),
+    ])
+    def test_uncoercible_param_is_config_error(self, tmp_path, capsys, params, message):
+        cfg = write_config(tmp_path, {"input": SOLAR, "method": "sbb", "params": params, "B": 1, "seed": 1,
+                                      "output_dir": str(tmp_path / "x")})
+        assert main(["generate", cfg]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_negative_seed_is_config_error(self, tmp_path):
+        cfg = write_config(tmp_path, {"input": SOLAR, "method": "sbb", "params": {"sash": 2, "p": 4}, "B": 1,
+                                      "seed": -1, "output_dir": str(tmp_path / "x")})
+        assert main(["generate", cfg]) == EXIT_CONFIG
+
+    def test_manifest_without_series_files_is_io_error(self, tmp_path, capsys):
+        ens = self._generate(tmp_path)
+        manifest = json.loads((ens / "manifest.json").read_text())
+        del manifest["series_files"]
+        (ens / "manifest.json").write_text(json.dumps(manifest))
+        assert self._analyze(tmp_path, ens) == EXIT_IO
+        assert "series_files" in capsys.readouterr().err
+
+    def test_edited_member_is_validation_error(self, tmp_path, capsys):
+        ens = self._generate(tmp_path)
+        member = ens / "series_0001.csv"
+        lines = member.read_text().splitlines()
+        lines[13] = repr(float(lines[13]) + 0.5)
+        member.write_text("\n".join(lines) + "\n")
+        assert self._analyze(tmp_path, ens) == EXIT_VALIDATION
+        assert "series_0001.csv" in capsys.readouterr().err
+
+    def test_ensemble_analysed_against_another_source_is_validation_error(self, tmp_path, capsys):
+        ens = self._generate(tmp_path)
+        assert self._analyze(tmp_path, ens, original=WIND) == EXIT_VALIDATION
+        assert "generated from" in capsys.readouterr().err
+
+
+odd_values = st.one_of(
+    st.integers(min_value=-2, max_value=6),
+    st.floats(min_value=-3, max_value=6),
+    st.sampled_from([float("nan"), float("inf"), None, True, "two", "", [], [3], {}]),
+)
+
+
+@given(method=st.sampled_from(["sbb", "nnlb"]), B=odd_values, seed=odd_values, a=odd_values, b=odd_values)
+@settings(max_examples=40, deadline=None)
+def test_fuzzed_generate_config_exits_with_a_documented_code(tmp_path_factory, method, B, seed, a, b):
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    names = ("sash", "p") if method == "sbb" else ("lag", "k")
+    cfg = write_config(tmp_path, {"input": SOLAR, "method": method, "params": dict(zip(names, (a, b))),
+                                  "B": B, "seed": seed, "output_dir": str(tmp_path / "ens")})
+    assert main(["generate", cfg]) in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_VALIDATION)

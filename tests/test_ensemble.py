@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from synthseries.ensemble import Ensemble, child_rng, child_seed
-from synthseries.errors import ConfigError, IOErrorSS
-from synthseries.sbb import generate_sbb_batch
-from synthseries.series import HourlySeries
+from synthseries.errors import ChecksumMismatch, ConfigError, IOErrorSS, MalformedManifest
+from synthseries.kernels import uniform_kernel
+from synthseries.sbb import build_windows, find_window_pools, generate_sbb_batch
+from synthseries.series import HourlySeries, load_csv
 
 
 def test_child_seeds_distinct_and_stable():
@@ -43,8 +44,52 @@ def test_manifest_contents(tmp_path, rng):
     ens.save(tmp_path / "ens")
     manifest = json.loads((tmp_path / "ens" / "manifest.json").read_text())
     assert manifest["config"] == {"sash": 2, "p": 3, "kernel": "uniform", "include_self": True, "B": 2}
-    assert len(manifest["child_seeds"]) == 2
+    assert "default_rng([master_seed, b])" in manifest["child_seed_rule"]
     assert len(manifest["series_checksums"]) == 2
+
+
+def test_manifest_regenerates_members(tmp_path, rng):
+    s = HourlySeries(np.abs(rng.normal(100, 10, size=60)))
+    generate_sbb_batch(s, 2, 3, B=3, master_seed=5).save(tmp_path / "ens")
+    manifest = json.loads((tmp_path / "ens" / "manifest.json").read_text())
+    config = manifest["config"]
+    pools = find_window_pools(build_windows(s, config["sash"]), config["p"], config["include_self"])
+    for b, name in enumerate(manifest["series_files"]):
+        member_rng = np.random.default_rng([manifest["master_seed"], b])
+        ranks = member_rng.choice(config["p"], size=len(s), p=uniform_kernel(config["p"]).probabilities)
+        expected = s.values[pools.indices[np.arange(len(s)), ranks]]
+        assert load_csv(tmp_path / "ens" / name).values.tobytes() == expected.tobytes()
+
+
+def test_child_seed_is_the_child_rng_seed():
+    assert (np.random.default_rng(child_seed(9, 4)).random(4) == child_rng(9, 4).random(4)).all()
+
+
+def test_load_rejects_an_edited_member(tmp_path, rng):
+    s = HourlySeries(np.abs(rng.normal(100, 10, size=60)))
+    generate_sbb_batch(s, 2, 3, B=2, master_seed=5).save(tmp_path / "ens")
+    member = tmp_path / "ens" / "series_0000.csv"
+    lines = member.read_text().splitlines()
+    lines[5] = repr(float(lines[5]) + 1.0)
+    member.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ChecksumMismatch, match="series_0000.csv"):
+        Ensemble.load(tmp_path / "ens")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m.pop("series_files"),
+    lambda m: m.update(series_checksums=m["series_checksums"][:1]),
+    lambda m: m.update(master_seed="five"),
+])
+def test_load_rejects_a_malformed_manifest(tmp_path, rng, edit):
+    s = HourlySeries(np.abs(rng.normal(100, 10, size=60)))
+    generate_sbb_batch(s, 2, 3, B=2, master_seed=5).save(tmp_path / "ens")
+    path = tmp_path / "ens" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(MalformedManifest):
+        Ensemble.load(tmp_path / "ens")
 
 
 def test_load_missing_manifest(tmp_path):

@@ -10,7 +10,8 @@ from synthseries.kernels import harmonic_kernel
 from synthseries.nnlb import build_lag_matrix, find_neighbor_pools, generate_nnlb, generate_nnlb_batch
 from synthseries.series import HourlySeries
 
-from .oracles import brute_lag_matrix, brute_pools
+from .oracles import brute_lag_matrix, brute_pools, stable_sort_pools
+from .series_fixtures import POOL_CASES, crosses_block_edge_at_night, pool_size, solar_like
 
 series_strategy = st.lists(
     st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False),
@@ -81,6 +82,26 @@ class TestNeighborPools:
         s = HourlySeries(rng.normal(size=50))
         pools = find_neighbor_pools(build_lag_matrix(s, 4), 10, include_self=True)
         assert (np.diff(pools.distances, axis=1) >= 0).all()
+
+
+class TestNeighborPoolsAcrossBlocks:
+    """n spans several search blocks, and solar nights put exact zero-distance
+    ties on both sides of a block edge."""
+
+    @pytest.fixture(scope="class")
+    def lags(self):
+        lm = build_lag_matrix(solar_like(1500, 12), 5)
+        assert crosses_block_edge_at_night(lm.lag_vectors)
+        return lm
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    @pytest.mark.parametrize("case", POOL_CASES)
+    def test_matches_stable_sort(self, lags, case, include_self):
+        k = pool_size(case, lags.lag_vectors, include_self)
+        pools = find_neighbor_pools(lags, k, include_self)
+        ref_idx, ref_dist = stable_sort_pools(lags.lag_vectors, k, include_self)
+        assert np.array_equal(pools.indices, ref_idx)
+        assert pools.distances.tobytes() == ref_dist.tobytes()
 
 
 class TestGenerate:

@@ -10,7 +10,8 @@ from synthseries.kernels import harmonic_kernel
 from synthseries.sbb import build_windows, find_window_pools, generate_sbb, generate_sbb_batch
 from synthseries.series import HourlySeries
 
-from .oracles import brute_pools, brute_window_matrix
+from .oracles import brute_pools, brute_window_matrix, stable_sort_pools
+from .series_fixtures import POOL_CASES, crosses_block_edge_at_night, pool_size, solar_like
 
 series_strategy = st.lists(
     st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False),
@@ -76,6 +77,26 @@ class TestWindowPools:
             find_window_pools(wm, 7, include_self=True)
         with pytest.raises(PTooLarge):
             find_window_pools(wm, 6, include_self=False)
+
+
+class TestWindowPoolsAcrossBlocks:
+    """n spans several search blocks, and solar nights put exact zero-distance
+    ties on both sides of a block edge."""
+
+    @pytest.fixture(scope="class")
+    def windows(self):
+        wm = build_windows(solar_like(1500, 11), 2)
+        assert crosses_block_edge_at_night(wm.windows)
+        return wm
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    @pytest.mark.parametrize("case", POOL_CASES)
+    def test_matches_stable_sort(self, windows, case, include_self):
+        p = pool_size(case, windows.windows, include_self)
+        pools = find_window_pools(windows, p, include_self)
+        ref_idx, ref_dist = stable_sort_pools(windows.windows, p, include_self)
+        assert np.array_equal(pools.indices, ref_idx)
+        assert pools.distances.tobytes() == ref_dist.tobytes()
 
 
 class TestGenerate:
