@@ -12,10 +12,12 @@ validation error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
+from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import stats as st
 from .adequacy import (
@@ -262,12 +264,15 @@ def cmd_vre(cfg: dict[str, Any], threads: int) -> int:
         raise ConfigError("vre config needs at least one of: weights, sweep, ensembles")
     if "ensembles" in cfg and "weights" not in cfg:
         raise ConfigError("ensemble adequacy requires fixed 'weights'")
+    # outputs are written only once every input has been read and checked
+    # and every result computed, so a run that fails leaves none behind
+    writes: list[Callable[[], None]] = []
     if "weights" in cfg:
         w = _section(cfg, "weights")
         weights = VreWeights(_require(w, "solar", float), _require(w, "wind", float))
         vre = combine_vre(solar, wind, weights)
         result = compute_adequacy(vre, nuclear, load, fraction)
-        _write_json({"weights": w, **result.as_dict()}, out_dir / "adequacy.json")
+        writes.append(partial(_write_json, {"weights": w, **result.as_dict()}, out_dir / "adequacy.json"))
 
     if "sweep" in cfg:
         sw = _section(cfg, "sweep")
@@ -278,7 +283,7 @@ def cmd_vre(cfg: dict[str, Any], threads: int) -> int:
             wind_weights=_numbers(sw, "wind_weights"),
             shortfall_fraction=fraction,
         )
-        sweep_table_csv(results, out_dir / "sweep.csv")
+        writes.append(partial(sweep_table_csv, results, out_dir / "sweep.csv"))
 
     if "ensembles" in cfg:
         e = _section(cfg, "ensembles")
@@ -292,7 +297,8 @@ def cmd_vre(cfg: dict[str, Any], threads: int) -> int:
             shortfall_fraction=fraction,
         )
         hist = shortfall_histogram(results)
-        _write_json(
+        writes.append(partial(
+            _write_json,
             {
                 "weights": w,
                 "shortfall_histogram": {str(k): v for k, v in hist.items()},
@@ -300,18 +306,22 @@ def cmd_vre(cfg: dict[str, Any], threads: int) -> int:
                 "curtailed": [r.percent_curtailed for r in results],
             },
             out_dir / "ensemble_adequacy.json",
-        )
-        import csv
+        ))
+        writes.append(partial(_write_histogram_csv, hist, out_dir / "shortfall_histogram.csv"))
 
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with (out_dir / "shortfall_histogram.csv").open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["shortfall_days", "count"])
-            for k, v in hist.items():
-                writer.writerow([k, v])
-
+    for write in writes:
+        write()
     print(f"wrote case-study outputs to {out_dir}")
     return EXIT_OK
+
+
+def _write_histogram_csv(hist: dict[int, int], path: Path) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["shortfall_days", "count"])
+        for k, v in hist.items():
+            writer.writerow([k, v])
 
 
 # --- entry point -----------------------------------------------------------
@@ -319,7 +329,7 @@ def cmd_vre(cfg: dict[str, Any], threads: int) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="synthseries")
-    parser.add_argument("--threads", type=int, default=1, help="parallelism bound; output is identical for every value")
+    parser.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in [
         ("generate", "generate a bootstrap ensemble from one observed series"),

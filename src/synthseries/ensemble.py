@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -57,14 +57,19 @@ class Ensemble:
         return np.array([s.values.mean() for s in self.series])
 
     def save(self, directory: str | Path) -> Path:
-        """Write one CSV per series plus a JSON manifest."""
+        """Write one CSV per series plus a JSON manifest.
+
+        Members are bootstrap draws from one source, so they share most of
+        their values; each distinct value is formatted once per save.
+        """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         width = max(4, len(str(len(self.series) - 1)))
         names = []
+        reprs: dict[int, str] = {}
         for b, s in enumerate(self.series):
             name = f"series_{b:0{width}d}.csv"
-            write_csv(s, directory / name)
+            write_csv(s, directory / name, reprs=reprs)
             names.append(name)
         manifest = {
             "method": self.method,
@@ -141,24 +146,18 @@ def run_batch(
     """Generate B series, each from its own child seed.
 
     ``generate_one(rng) -> np.ndarray`` must depend only on the supplied
-    RNG, so results are independent of execution order and thread count.
+    RNG, so results are independent of generation order. ``threads`` is
+    accepted for compatibility and has no effect: a thread pool over the
+    members was slower than one loop at 2 threads.
     """
     if B < 1:
         raise ConfigError(f"B must be >= 1, got {B}")
-
-    def one(b: int) -> HourlySeries:
-        rng = child_rng(master_seed, b)
-        return HourlySeries(generate_one(rng), label=f"{source.label}_{method}_{b}")
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            series: Sequence[HourlySeries] = list(pool.map(one, range(B)))
-    else:
-        series = [one(b) for b in range(B)]
+    series = tuple(
+        HourlySeries(generate_one(child_rng(master_seed, b)), label=f"{source.label}_{method}_{b}")
+        for b in range(B)
+    )
     return Ensemble(
-        series=tuple(series),
+        series=series,
         method=method,
         config=config,
         master_seed=master_seed,

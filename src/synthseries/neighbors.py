@@ -22,13 +22,12 @@ so self leads its pool even among exact duplicates; it is reported as 0.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigError
 
 # rows per distance block; a block holds a few (rows, n) temporaries (the
 # distances, the partition, the tie-closure masks), so this bounds peak memory
-_BLOCK_ROWS = 256
+_BLOCK_ROWS = 128
 
 
 def nearest_rows(
@@ -44,6 +43,9 @@ def nearest_rows(
     non-decreasing distance with ties broken by smaller row index. When
     ``include_self`` the first entry of row i is i itself at distance 0.
     """
+    # imported here so that the commands that never search do not load scipy
+    from scipy.spatial.distance import cdist
+
     m = np.asarray(matrix, dtype=float)
     n = m.shape[0]
     limit = n if include_self else n - 1

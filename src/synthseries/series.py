@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -105,6 +106,11 @@ def chunk(series: HourlySeries, length: int, *, truncate: bool = False) -> Chunk
     return ChunkedSeries(flat.reshape(m, length), length, n, pad > 0)
 
 
+# characters that give a line CSV structure (a delimiter, a quote, a NUL);
+# a file without any of them is one bare column, one cell per line
+_CSV_SYNTAX = (",", '"', "\0")
+
+
 def load_csv(
     path: str | Path,
     value_column: str = "value",
@@ -115,58 +121,99 @@ def load_csv(
 
     Rows are assumed chronological. Blank or non-numeric value cells raise
     :class:`UnparseableValue` with the offending 1-based data row number.
+
+    The file is read once. A bare value column (no delimiter, quote or NUL
+    anywhere) is split into lines at CR, LF or CRLF, as ``csv.reader``
+    does, and converted with one ``float`` map; only when that fails or
+    yields a non-finite value is it scanned row by row for the error.
+    Anything else goes through ``csv.reader``.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    text = path.read_bytes().decode("utf-8")
+    stamps: list[str] = []
+    if timestamp_column is None and not any(c in text for c in _CSV_SYNTAX):
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if lines[-1] == "":  # the final line break ends a row, it does not start one
+            lines.pop()
+        if not lines:
+            raise EmptyFile(str(path))
+        _column(path, [lines[0].strip()] if lines[0] else [], value_column)
+        cells = lines[1:]
+        try:
+            values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+        except ValueError:
+            values = None
+        if values is None or not np.isfinite(values).all():
+            values = np.array([_parse_value(rownum, cell) for rownum, cell in enumerate(cells, start=1)])
+    else:
+        reader = csv.reader(io.StringIO(text, newline=""))
         header = next(reader, None)
         if header is None:
             raise EmptyFile(str(path))
         header = [h.strip() for h in header]
-        if value_column not in header:
-            raise MissingColumn(f"{path}: no column {value_column!r} in {header}")
-        if timestamp_column is not None and timestamp_column not in header:
-            raise MissingColumn(f"{path}: no column {timestamp_column!r}")
-        vcol = header.index(value_column)
-        tcol = header.index(timestamp_column) if timestamp_column is not None else None
-        values: list[float] = []
-        stamps: list[str] = []
+        vcol = _column(path, header, value_column)
+        tcol = _column(path, header, timestamp_column) if timestamp_column is not None else None
+        parsed: list[float] = []
         # csv.reader keeps blank lines as empty rows, so row numbering stays
         # aligned with the file and a blank cell is reported where it occurs.
         for rownum, row in enumerate(reader, start=1):
-            raw = row[vcol].strip() if vcol < len(row) else ""
-            if not raw:
-                raise UnparseableValue(rownum, "blank cell")
-            try:
-                v = float(raw)
-            except ValueError:
-                raise UnparseableValue(rownum, raw) from None
-            if not math.isfinite(v):
-                raise UnparseableValue(rownum, raw)
-            values.append(v)
+            parsed.append(_parse_value(rownum, row[vcol] if vcol < len(row) else ""))
             if tcol is not None:
                 stamps.append(row[tcol])
-    if not values:
+        values = np.array(parsed)
+    if not values.size:
         raise EmptyFile(str(path))
     return HourlySeries(
-        np.array(values),
+        values,
         label=label or path.stem,
         start_timestamp=stamps[0] if stamps else None,
         timestamps=tuple(stamps) if stamps else None,
     )
 
 
-def write_csv(series: HourlySeries, path: str | Path) -> None:
-    """Write ``timestamp,value`` (or bare ``value``) at full float precision."""
+def _column(path: Path, header: list[str], name: str) -> int:
+    if name not in header:
+        raise MissingColumn(f"{path}: no column {name!r} in {header}")
+    return header.index(name)
+
+
+def _parse_value(rownum: int, cell: str) -> float:
+    raw = cell.strip()
+    if not raw:
+        raise UnparseableValue(rownum, "blank cell")
+    try:
+        v = float(raw)
+    except ValueError:
+        raise UnparseableValue(rownum, raw) from None
+    if not math.isfinite(v):
+        raise UnparseableValue(rownum, raw)
+    return v
+
+
+def write_csv(series: HourlySeries, path: str | Path, *, reprs: dict[int, str] | None = None) -> None:
+    """Write ``timestamp,value`` (or bare ``value``) at full float precision.
+
+    The file is built as one string and written in one call: the bytes
+    ``csv.writer`` writes with ``repr(float(v))`` cells and CRLF rows. Each distinct value is formatted
+    once, in ``reprs``, keyed by its float64 bit pattern (so -0.0 and 0.0
+    stay apart); pass one dict to several calls to share that work.
+    """
+    if reprs is None:
+        reprs = {}
+    bits, where = np.unique(series.values.view(np.uint64), return_inverse=True)
+    text = [
+        reprs.get(b) or reprs.setdefault(b, repr(v))
+        for b, v in zip(bits.tolist(), bits.view(np.float64).tolist())
+    ]
+    cells = np.array(text, dtype=object)[where].tolist()
+    if series.timestamps is not None:
+        # timestamps are free text that may need quoting
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerows([("timestamp", "value"), *zip(series.timestamps, cells)])
+        body = buf.getvalue()
+    else:
+        body = "\r\n".join(["value", *cells, ""])
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if series.timestamps is not None:
-            writer.writerow(["timestamp", "value"])
-            for ts, v in zip(series.timestamps, series.values):
-                writer.writerow([ts, repr(float(v))])
-        else:
-            writer.writerow(["value"])
-            for v in series.values:
-                writer.writerow([repr(float(v))])
+        fh.write(body)

@@ -3,13 +3,18 @@
 Pure-Python, loop-based, deliberately sharing no code with the package:
 these are the oracles the fast paths are checked against. The one numpy
 reference, ``stable_sort_pools``, is the full-sort neighbour search, kept so
-that pool distances can be compared byte for byte.
+that pool distances can be compared byte for byte. ``csv_writer_text`` and
+``csv_reader_load`` are the row-by-row CSV codec the bulk one replaced; the
+reader raises the package's ingestion errors, which are part of the contract.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from math import ceil
+from pathlib import Path
 
 
 def brute_lag_matrix(values, lag):
@@ -121,3 +126,54 @@ def stable_sort_pools(matrix, k, include_self):
                 distances[i, 1 : j + 1] = distances[i, 0:j].copy()
                 distances[i, 0] = 0.0
     return indices, distances
+
+
+def csv_writer_text(values, timestamps=None):
+    """A series file as ``csv.writer`` writes it, one ``repr(float(v))`` row at a time."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    if timestamps is not None:
+        writer.writerow(["timestamp", "value"])
+        for ts, v in zip(timestamps, values):
+            writer.writerow([ts, repr(float(v))])
+    else:
+        writer.writerow(["value"])
+        for v in values:
+            writer.writerow([repr(float(v))])
+    return fh.getvalue()
+
+
+def csv_reader_load(path, value_column="value", timestamp_column=None, label=""):
+    """``(values, label, timestamps)`` read through ``csv.reader`` row by row."""
+    from synthseries.errors import EmptyFile, MissingColumn, UnparseableValue
+
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise EmptyFile(str(path))
+        header = [h.strip() for h in header]
+        if value_column not in header:
+            raise MissingColumn(f"{path}: no column {value_column!r} in {header}")
+        if timestamp_column is not None and timestamp_column not in header:
+            raise MissingColumn(f"{path}: no column {timestamp_column!r}")
+        vcol = header.index(value_column)
+        tcol = header.index(timestamp_column) if timestamp_column is not None else None
+        values, stamps = [], []
+        for rownum, row in enumerate(reader, start=1):
+            raw = row[vcol].strip() if vcol < len(row) else ""
+            if not raw:
+                raise UnparseableValue(rownum, "blank cell")
+            try:
+                v = float(raw)
+            except ValueError:
+                raise UnparseableValue(rownum, raw) from None
+            if not math.isfinite(v):
+                raise UnparseableValue(rownum, raw)
+            values.append(v)
+            if tcol is not None:
+                stamps.append(row[tcol])
+    if not values:
+        raise EmptyFile(str(path))
+    return values, label or path.stem, tuple(stamps) if stamps else None

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import synthseries
 from synthseries.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 
 from .conftest import DATA_DIR
@@ -215,6 +219,42 @@ class TestVre:
         assert len(report["supplied"]) == 5
         assert (out / "shortfall_histogram.csv").exists()
 
+    def _vre_with_ensembles(self, tmp_path, solar_dir, wind_dir):
+        out = tmp_path / "vre"
+        cfg = write_config(tmp_path, {
+            "solar": SOLAR, "wind": WIND, "nuclear": NUCLEAR, "load": LOAD,
+            "weights": {"solar": 3, "wind": 2},
+            "sweep": {"curtailment_cap": 0.5, "solar_weights": [0, 3], "wind_weights": [0, 2]},
+            "ensembles": {"solar_dir": str(solar_dir), "wind_dir": str(wind_dir), "pairing_seed": 7},
+            "output_dir": str(out),
+        })
+        return main(["vre", cfg]), out
+
+    def _ensembles(self, tmp_path):
+        for name, path in [("solar", SOLAR), ("wind", WIND)]:
+            cfg = write_config(tmp_path, {
+                "input": path, "method": "sbb", "params": {"sash": 2, "p": 3}, "B": 2, "seed": 1,
+                "output_dir": str(tmp_path / f"ens_{name}"),
+            })
+            assert main(["generate", cfg]) == EXIT_OK
+        return tmp_path / "ens_solar", tmp_path / "ens_wind"
+
+    def test_missing_ensemble_leaves_no_outputs(self, tmp_path):
+        _, wind_dir = self._ensembles(tmp_path)
+        code, out = self._vre_with_ensembles(tmp_path, tmp_path / "absent", wind_dir)
+        assert code == EXIT_IO
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_ensemble_failing_its_checksum_leaves_no_outputs(self, tmp_path):
+        solar_dir, wind_dir = self._ensembles(tmp_path)
+        member = wind_dir / "series_0001.csv"
+        lines = member.read_text().splitlines()
+        lines[5] = repr(float(lines[5]) + 1.0)
+        member.write_text("\n".join(lines) + "\n")
+        code, out = self._vre_with_ensembles(tmp_path, solar_dir, wind_dir)
+        assert code == EXIT_VALIDATION
+        assert not out.exists() or not any(out.iterdir())
+
     def test_requires_some_action(self, tmp_path):
         cfg = write_config(tmp_path, {
             "solar": SOLAR, "wind": WIND, "nuclear": NUCLEAR, "load": LOAD,
@@ -231,6 +271,15 @@ def test_bad_json_config(tmp_path):
 
 def test_missing_config_file(tmp_path):
     assert main(["generate", str(tmp_path / "absent.json")]) == EXIT_IO
+
+
+def test_cli_import_does_not_load_scipy():
+    """Only the neighbour search needs scipy; analyze, perturb and vre start without it."""
+    src = str(Path(synthseries.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, synthseries.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestExitCodes:

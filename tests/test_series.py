@@ -12,10 +12,13 @@ from synthseries.errors import (
     EmptyFile,
     InvalidChunkLength,
     MissingColumn,
+    SynthSeriesError,
     UnparseableValue,
     ValidationError,
 )
 from synthseries.series import HourlySeries, chunk, circular_get, load_csv, write_csv
+
+from . import oracles
 
 finite_values = st.lists(
     st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False),
@@ -151,3 +154,102 @@ class TestCsv:
             write_csv(s, p)
             back = load_csv(p)
         assert back.values.tolist() == s.values.tolist()
+
+
+EDGE_VALUES = [
+    -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.0001, 1e16, 1.7976931348623157e308,
+    -5e-324, -1e-05, -1e16, -1.7976931348623157e308, 0.1, -2.5, 1234.5678, 1e22,
+]
+
+
+def _load_outcome(load, path, **kwargs):
+    """What a loader makes of a file: bit-exact values, label and stamps, or
+    the exception class and row it raised."""
+    try:
+        out = load(path, **kwargs)
+    except SynthSeriesError as exc:
+        return type(exc), getattr(exc, "row", None)
+    if isinstance(out, HourlySeries):
+        out = (out.values.tolist(), out.label, out.timestamps)
+    values, label, stamps = out
+    return np.array(values, dtype=float).tobytes(), label, stamps
+
+
+class TestCsvCodec:
+    """The bulk codec against the row-by-row one it replaced (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("values", [EDGE_VALUES, EDGE_VALUES[::-1], [-0.0] * 3 + [0.0] * 3, [7.0]])
+    def test_writer_bytes_match_csv_writer(self, tmp_path, values):
+        write_csv(HourlySeries(np.array(values)), tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == oracles.csv_writer_text(values).encode()
+
+    def test_timestamped_writer_bytes_match_csv_writer(self, tmp_path):
+        stamps = ("2021-01-01T00", "", " padded ", "a,b", 'say "hi"', "two\nlines", "cr\r", "ü")
+        values = EDGE_VALUES[: len(stamps)]
+        write_csv(HourlySeries(np.array(values), timestamps=stamps), tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == oracles.csv_writer_text(values, stamps).encode()
+
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+           stamps=st.none() | st.lists(st.text(max_size=6), min_size=40, max_size=40))
+    @settings(max_examples=60)
+    def test_writer_bytes_match_csv_writer_fuzzed(self, values, stamps):
+        stamps = None if stamps is None else tuple(stamps[: len(values)])
+        with tempfile.TemporaryDirectory() as d:
+            p = Path(d) / "s.csv"
+            write_csv(HourlySeries(np.array(values), timestamps=stamps), p)
+            assert p.read_bytes() == oracles.csv_writer_text(values, stamps).encode()
+
+    def test_shared_format_cache_keeps_signed_zeros_apart(self, tmp_path):
+        reprs: dict[int, str] = {}
+        members = [[0.0, -0.0, 1.5], [-0.0, 0.0, 1.5, 2.5], [2.5, -0.0]]
+        for b, values in enumerate(members):
+            write_csv(HourlySeries(np.array(values)), tmp_path / f"{b}.csv", reprs=reprs)
+        for b, values in enumerate(members):
+            assert (tmp_path / f"{b}.csv").read_bytes() == oracles.csv_writer_text(values).encode()
+        assert sorted(reprs.values()) == ["-0.0", "0.0", "1.5", "2.5"]
+
+    @pytest.mark.parametrize("text, kwargs", [
+        ("value\n1.5\n-0.0\n2e-3\n", {}),
+        ("value\r\n1.5\r\n-0.0\r\n2e-3\r\n", {}),
+        ("value\r1.5\r-0.0\r2e-3\r", {}),
+        ("value\r\n1.5\n-0.0\r2e-3", {}),
+        ("value\n1.5\n2.5", {}),
+        ("  value \n 1.5 \n\t2.5\t\n", {}),
+        ('value\n"1.5"\n" 2.5"\n', {}),
+        ('"value"\n1.5\n', {}),
+        ("timestamp,value\n2021-01-01T00,1.5\n2021-01-01T01,2.5\n", {}),
+        ("timestamp,value\n2021-01-01T00,1.5\n2021-01-01T01,2.5\n", {"timestamp_column": "timestamp"}),
+        ("other,value\n9,1.5\n9\n", {}),
+        ("value\n1.5\n\n2.5\n", {}),
+        ("value\n1.5\n2.5\n\n", {}),
+        ("value\n1.5\n   \n", {}),
+        ("value\n1.5\nnan\n", {}),
+        ("value\n1.5\n-inf\n", {}),
+        ("value\ninfinity\n", {}),
+        ("value\n1.5\nabc\n", {}),
+        ("value\n1_5\n", {}),
+        ("value\n", {}),
+        ("", {}),
+        ("\n", {}),
+        ("\nvalue\n1.5\n", {}),
+        ("values\n1.5\n", {}),
+        ("value\n1.5\n", {"timestamp_column": "timestamp"}),
+        ("value\n1.5\x00\n", {}),
+    ])
+    def test_loader_matches_csv_reader(self, tmp_path, text, kwargs):
+        p = tmp_path / "s.csv"
+        p.write_bytes(text.encode())
+        assert _load_outcome(load_csv, p, **kwargs) == _load_outcome(oracles.csv_reader_load, p, **kwargs)
+
+    @given(cells=st.lists(st.sampled_from(
+               ["1.5", " 2 ", "-0.0", "5e-324", "1e16", "", "  ", "nan", "inf", "x", '"3"', "4,5", "value"]),
+               max_size=8),
+           header=st.sampled_from(["value", " value", "x", ""]),
+           newline=st.sampled_from(["\n", "\r\n", "\r"]),
+           final=st.booleans())
+    @settings(max_examples=120)
+    def test_loader_matches_csv_reader_fuzzed(self, cells, header, newline, final):
+        with tempfile.TemporaryDirectory() as d:
+            p = Path(d) / "s.csv"
+            p.write_bytes((newline.join([header, *cells]) + (newline if final else "")).encode())
+            assert _load_outcome(load_csv, p) == _load_outcome(oracles.csv_reader_load, p)
