@@ -119,6 +119,8 @@ def ensemble_adequacy(
     deterministic for a fixed pairing seed, mass 1/B on each result.
     """
     B = pairs if pairs is not None else max(len(solar_ensemble), len(wind_ensemble))
+    if B < 1:
+        raise OutOfRange(f"pairs must be >= 1, got {B}")
     rng = np.random.default_rng(pairing_seed)
     si = rng.integers(0, len(solar_ensemble), size=B)
     wi = rng.integers(0, len(wind_ensemble), size=B)

@@ -196,13 +196,14 @@ def cmd_perturb(cfg: dict[str, Any], threads: int) -> int:
     else:
         raise ConfigError(f"unknown method {method!r} (choose incremental or altered_difference)")
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(altered.values, out_dir / "altered.csv")
     audit = direction_audit(
         altered, audit_source,
         chunk_hours=_get(cfg, "chunk_hours", int, 24),
         threshold_fraction=_get(cfg, "threshold_fraction", float, 0.05),
     )
+    # written only now, so a config error above leaves no output behind
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_csv(altered.values, out_dir / "altered.csv")
     _write_json(audit, out_dir / "audit.json")
     manifest = {
         "method": altered.method,
@@ -227,7 +228,6 @@ def cmd_analyze(cfg: dict[str, Any], threads: int) -> int:
     out_dir = _path(cfg, "output_dir")
     autocorr_lag = _get(cfg, "autocorr_lag", int, 24)
     table = st.ensemble_summary_table(ens, original, autocorr_lag)
-    st.write_table_csv(table, out_dir / "summary_table.csv")
     tcfg = _section(cfg, "threshold", {"kind": "proportional", "alpha": 0.05})
     threshold = st.Threshold(
         kind=tcfg.get("kind", "proportional"),
@@ -237,6 +237,8 @@ def cmd_analyze(cfg: dict[str, Any], threads: int) -> int:
     length = _get(cfg, "chunk_hours", int, 24)
     statistic = cfg.get("statistic", "underage_count")
     report = st.empirical_distribution(ens, original, statistic, length, threshold)
+    # written only now, so a config error above leaves no output behind
+    st.write_table_csv(table, out_dir / "summary_table.csv")
     st.histogram_csv(report, out_dir / "exceedance_histogram.csv")
     _write_json(
         {

@@ -34,6 +34,10 @@ class EmptyFile(IOErrorSS):
     pass
 
 
+class UndecodableFile(IOErrorSS):
+    """A series file that is not UTF-8 text."""
+
+
 class UnparseableValue(IOErrorSS):
     """A value cell failed to parse; carries the 1-based data row number."""
 

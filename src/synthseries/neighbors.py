@@ -6,17 +6,23 @@ the full n x n matrix at once.
 
 A row's pool is the first k of its candidates ordered by (distance, row
 index), i.e. the first k entries of a stable sort of the row, without
-sorting the row. ``argpartition`` at k finds the k-th smallest distance.
-When exactly k candidates lie at or inside it, they are the pool. When
-more do (a tie at the pool boundary, e.g. the all-zero windows of solar
-nights), partition picks among the equal ones arbitrarily, so the pool is
-rebuilt as every candidate strictly closer plus the lowest-index candidates
-at exactly the k-th distance. ``lexsort`` then orders the k entries by
-(distance, index). The pool indices and the ``cdist`` distance bytes are
-therefore exactly those of the full stable sort, at O(n) per row.
+sorting the row. Equal rows (the all-zero windows of solar nights, about
+a third of a solar year) have byte-identical ``cdist`` rows and so one
+shared candidate order; only where the row itself sits in it differs.
+The search therefore runs once per distinct row (``np.unique``), against
+all n rows, itself included, and selects one candidate more than a pool
+holds when the row itself is to be left out.
 
-With ``include_self`` a row's own distance is set to -1 before selection,
-so self leads its pool even among exact duplicates; it is reported as 0.
+``argpartition`` finds the boundary distance of that selection. When
+exactly as many candidates lie at or inside it, they are the selection.
+When more do (a tie at the boundary), partition picks among the equal ones
+arbitrarily, so the selection is rebuilt as every candidate strictly closer
+plus the lowest-index candidates at exactly the boundary distance.
+``lexsort`` then orders it by (distance, index). Each original row takes
+the shared order of its distinct row without itself, and with
+``include_self`` puts itself first, at distance 0. The pool indices and the
+``cdist`` distance bytes are therefore exactly those of the full stable
+sort, at O(n) per distinct row.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ import numpy as np
 
 from .errors import ConfigError
 
-# rows per distance block; a block holds a few (rows, n) temporaries (the
-# distances, the partition, the tie-closure masks), so this bounds peak memory
+# distinct rows per distance block; a block holds a few (rows, n) temporaries
+# (the distances, the partition, the tie-closure masks), so this bounds peak memory
 _BLOCK_ROWS = 128
 
 
@@ -52,31 +58,51 @@ def nearest_rows(
     if k < 1 or k > limit:
         raise too_large(f"k={k} out of range [1, {limit}] for {n} rows (include_self={include_self})")
 
+    distinct, inverse = np.unique(m, axis=0, return_inverse=True)
+    inverse = inverse.reshape(n)
+    # the original rows of distinct rows [a, b) are members[first[a]:first[b]]
+    members = np.argsort(inverse)
+    first = np.concatenate(([0], np.cumsum(np.bincount(inverse))))
+    lead = int(include_self)
+    # a row left out of its own pool needs one spare candidate
+    kk = k + 1 - lead
+    # column j of a pool comes from column j or j + 1 of the shared order
+    j = np.arange(k - lead)
+
     indices = np.empty((n, k), dtype=np.intp)
     distances = np.empty((n, k), dtype=float)
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
+    for start in range(0, distinct.shape[0], _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, distinct.shape[0])
         rows = np.arange(stop - start)
-        d = cdist(m[start:stop], m)
-        # self sorts first when included and is never chosen otherwise
-        d[rows, rows + start] = -1.0 if include_self else np.inf
-        cols = np.argpartition(d, k - 1, axis=1)[:, :k].copy()
-        kth = d[rows, cols[:, k - 1]][:, None]
-        # rows with more than k candidates within the k-th distance, where
+        d = cdist(distinct[start:stop], m)
+        cols = np.argpartition(d, kk - 1, axis=1)[:, :kk].copy()
+        kth = d[rows, cols[:, kk - 1]][:, None]
+        # rows with more than kk candidates within the kk-th distance, where
         # partition chose among the equal ones arbitrarily: keep every closer
-        # candidate plus the lowest-index ones at exactly the k-th distance
-        tied = np.flatnonzero(np.count_nonzero(d <= kth, axis=1) > k)
+        # candidate plus the lowest-index ones at exactly the kk-th distance
+        tied = np.flatnonzero(np.count_nonzero(d <= kth, axis=1) > kk)
         if tied.size:
             dt, kt = d[tied], kth[tied]
             closer = dt < kt
             at = dt == kt
-            room = k - np.count_nonzero(closer, axis=1)[:, None]
+            room = kk - np.count_nonzero(closer, axis=1)[:, None]
             keep = closer | (at & (np.cumsum(at, axis=1, dtype=np.int32) <= room))
-            cols[tied] = np.nonzero(keep)[1].reshape(tied.size, k)
+            cols[tied] = np.nonzero(keep)[1].reshape(tied.size, kk)
         vals = np.take_along_axis(d, cols, axis=1)
         order = np.lexsort((cols, vals))
-        indices[start:stop] = np.take_along_axis(cols, order, axis=1)
-        distances[start:stop] = np.take_along_axis(vals, order, axis=1)
-    if include_self:
-        distances[:, 0] = 0.0
+        cols = np.take_along_axis(cols, order, axis=1)
+        vals = np.take_along_axis(vals, order, axis=1)
+
+        # a member and every entry before it in the shared order are at
+        # distance 0, so moving it to the front or leaving it out keeps the
+        # distances in place: a pool's are the shared ones from column 1 - lead
+        own = members[first[start]:first[stop]]
+        group = inverse[own] - start
+        distances[own] = vals[group, 1 - lead : 1 - lead + k]
+        # the shared order skips a member from where the member itself stands
+        shared = cols[group]
+        past_self = np.cumsum(shared == own[:, None], axis=1)[:, : k - lead]
+        indices[own, lead:] = np.take_along_axis(shared, j + past_self, axis=1)
+        if include_self:
+            indices[own, 0] = own
     return indices, distances

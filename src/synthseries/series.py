@@ -20,6 +20,7 @@ from .errors import (
     EmptyFile,
     InvalidChunkLength,
     MissingColumn,
+    UndecodableFile,
     UnparseableValue,
     ValidationError,
 )
@@ -120,7 +121,8 @@ def load_csv(
     """Read one series from a UTF-8 CSV with a header row.
 
     Rows are assumed chronological. Blank or non-numeric value cells raise
-    :class:`UnparseableValue` with the offending 1-based data row number.
+    :class:`UnparseableValue` with the offending 1-based data row number; a
+    file that is not UTF-8 raises :class:`UndecodableFile`.
 
     The file is read once. A bare value column (no delimiter, quote or NUL
     anywhere) is split into lines at CR, LF or CRLF, as ``csv.reader``
@@ -129,7 +131,10 @@ def load_csv(
     Anything else goes through ``csv.reader``.
     """
     path = Path(path)
-    text = path.read_bytes().decode("utf-8")
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UndecodableFile(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     stamps: list[str] = []
     if timestamp_column is None and not any(c in text for c in _CSV_SYNTAX):
         lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")

@@ -60,6 +60,8 @@ def _autocorr(values: np.ndarray, lag: int) -> float:
 
 def summarize(series: HourlySeries | np.ndarray, autocorr_lag: int = 24) -> SummaryStats:
     vals = series.values if isinstance(series, HourlySeries) else np.asarray(series, dtype=float)
+    if autocorr_lag < 1:
+        raise ConfigError(f"autocorr lag must be >= 1, got {autocorr_lag}")
     if len(vals) <= autocorr_lag:
         raise SeriesTooShort(f"length {len(vals)} must exceed autocorr lag {autocorr_lag}")
     q1, med, q3 = np.percentile(vals, [25, 50, 75])  # linear interpolation

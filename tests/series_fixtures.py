@@ -62,7 +62,13 @@ def pool_size(case: str, matrix: np.ndarray, include_self: bool) -> int:
     }[case]
 
 
-def crosses_block_edge_at_night(matrix: np.ndarray) -> bool:
+def spans_blocks_with_nights(matrix: np.ndarray) -> bool:
+    """The distinct rows fill more than two search blocks, and the all-zero
+    night row stands for more rows than a block, spread over the matrix."""
     block = neighbors._BLOCK_ROWS
-    night = ~matrix.any(axis=1)
-    return matrix.shape[0] > 2 * block and any(night[e - 1] and night[e] for e in range(block, matrix.shape[0], block))
+    night = np.flatnonzero(~matrix.any(axis=1))
+    return (
+        np.unique(matrix, axis=0).shape[0] > 2 * block
+        and night.size > block
+        and night[-1] - night[0] > matrix.shape[0] // 2
+    )

@@ -134,6 +134,13 @@ class TestEnsembleAdequacy:
         hist = shortfall_histogram(res)
         assert sum(hist.values()) == 10
 
+    @pytest.mark.parametrize("pairs", [0, -1])
+    def test_pairs_below_one(self, solar_fixture, wind_fixture, nuclear_fixture, load_fixture, pairs):
+        # -1 used to fail inside numpy and 0 to report an empty distribution
+        se = generate_sbb_batch(solar_fixture, 2, 3, B=1, master_seed=1)
+        with pytest.raises(OutOfRange):
+            ensemble_adequacy(se, se, nuclear_fixture, load_fixture, VreWeights(2, 2), pairing_seed=5, pairs=pairs)
+
 
 class TestSeasonalWindow:
     def test_full_window_equals_annual(self, solar_fixture, wind_fixture, nuclear_fixture, load_fixture):

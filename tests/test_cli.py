@@ -31,6 +31,10 @@ def dir_bytes(d: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(d.iterdir()) if p.is_file()}
 
 
+def assert_nothing_written(out: Path) -> None:
+    assert not out.exists() or not any(out.iterdir())
+
+
 class TestGenerate:
     def test_deterministic_reruns(self, tmp_path):
         out = tmp_path / "ens"
@@ -243,7 +247,7 @@ class TestVre:
         _, wind_dir = self._ensembles(tmp_path)
         code, out = self._vre_with_ensembles(tmp_path, tmp_path / "absent", wind_dir)
         assert code == EXIT_IO
-        assert not out.exists() or not any(out.iterdir())
+        assert_nothing_written(out)
 
     def test_ensemble_failing_its_checksum_leaves_no_outputs(self, tmp_path):
         solar_dir, wind_dir = self._ensembles(tmp_path)
@@ -253,7 +257,7 @@ class TestVre:
         member.write_text("\n".join(lines) + "\n")
         code, out = self._vre_with_ensembles(tmp_path, solar_dir, wind_dir)
         assert code == EXIT_VALIDATION
-        assert not out.exists() or not any(out.iterdir())
+        assert_nothing_written(out)
 
     def test_requires_some_action(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -344,6 +348,9 @@ odd_values = st.one_of(
 )
 
 
+DOCUMENTED_EXITS = (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_VALIDATION)
+
+
 @given(method=st.sampled_from(["sbb", "nnlb"]), B=odd_values, seed=odd_values, a=odd_values, b=odd_values)
 @settings(max_examples=40, deadline=None)
 def test_fuzzed_generate_config_exits_with_a_documented_code(tmp_path_factory, method, B, seed, a, b):
@@ -351,4 +358,125 @@ def test_fuzzed_generate_config_exits_with_a_documented_code(tmp_path_factory, m
     names = ("sash", "p") if method == "sbb" else ("lag", "k")
     cfg = write_config(tmp_path, {"input": SOLAR, "method": method, "params": dict(zip(names, (a, b))),
                                   "B": B, "seed": seed, "output_dir": str(tmp_path / "ens")})
-    assert main(["generate", cfg]) in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_VALIDATION)
+    assert main(["generate", cfg]) in DOCUMENTED_EXITS
+
+
+def test_analyze_config_error_leaves_no_outputs(tmp_path, small_ensembles):
+    out = tmp_path / "analysis"
+    cfg = write_config(tmp_path, {"ensemble_dir": str(small_ensembles[0]), "original": SOLAR, "chunk_hours": "x",
+                                  "output_dir": str(out)})
+    assert main(["analyze", cfg]) == EXIT_CONFIG
+    assert_nothing_written(out)
+
+
+def test_perturb_config_error_leaves_no_outputs(tmp_path):
+    out = tmp_path / "alt"
+    cfg = write_config(tmp_path, {"input": WIND, "method": "incremental",
+                                  "distribution": {"kind": "exponential", "mean": 10}, "seed": 3,
+                                  "chunk_hours": "x", "output_dir": str(out)})
+    assert main(["perturb", cfg]) == EXIT_CONFIG
+    assert_nothing_written(out)
+
+
+def test_input_that_is_not_utf8_is_io_error(tmp_path, capsys):
+    source = tmp_path / "latin.csv"
+    source.write_bytes(b"value\n1.0\n\xff\n2.0\n")
+    cfg = write_config(tmp_path, {"input": str(source), "method": "sbb", "params": {"sash": 1, "p": 1}, "B": 1,
+                                  "seed": 1, "output_dir": str(tmp_path / "ens")})
+    assert main(["generate", cfg]) == EXIT_IO
+    assert "latin.csv" in capsys.readouterr().err
+
+
+def odd_settings(keys: list[str]):
+    """Up to two of ``keys`` (``"section.key"`` inside a section) mapped to odd values."""
+    return st.dictionaries(st.sampled_from(keys), odd_values, max_size=2)
+
+
+def with_settings(cfg: dict, odd: dict) -> dict:
+    cfg = json.loads(json.dumps(cfg))
+    for key, value in odd.items():
+        *sections, name = key.split(".")
+        target = cfg
+        for section in sections:
+            target = target.get(section) if isinstance(target, dict) else None
+        if isinstance(target, dict):  # a section replaced by an odd value has no keys to set
+            target[name] = json.loads(json.dumps(value))  # odd values are shared objects
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def small_ensembles(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("ensembles")
+    for name, path in [("solar", SOLAR), ("wind", WIND)]:
+        cfg = write_config(tmp_path, {"input": path, "method": "sbb", "params": {"sash": 2, "p": 3}, "B": 2,
+                                      "seed": 1, "output_dir": str(tmp_path / name)})
+        assert main(["generate", cfg]) == EXIT_OK
+    return tmp_path / "solar", tmp_path / "wind"
+
+
+PERTURB_CONFIGS = {
+    "incremental": {
+        "input": WIND, "seed": 3, "distribution": {"kind": "normal", "mean": 25, "std": 25, "below_probability": 0.3},
+        "clamp": {"alpha_max": 1.0, "alpha_min": -1.0},
+    },
+    "altered_difference": {
+        "high": WIND, "low": SOLAR, "alpha": 0.5, "delta_nonneg": True, "result_nonneg": True, "audit_against": "low",
+    },
+}
+
+
+@given(method=st.sampled_from(sorted(PERTURB_CONFIGS)), odd=odd_settings([
+    "method", "input", "high", "seed", "distribution", "distribution.kind", "distribution.mean", "distribution.std",
+    "distribution.below_probability", "clamp.alpha_max", "clamp.alpha_min", "alpha", "delta_nonneg",
+    "result_nonneg", "audit_against", "chunk_hours", "threshold_fraction",
+]))
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_perturb_config_exits_with_a_documented_code(tmp_path_factory, method, odd):
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    out = tmp_path / "alt"
+    cfg = {"method": method, **PERTURB_CONFIGS[method], "chunk_hours": 24, "threshold_fraction": 0.05,
+           "output_dir": str(out)}
+    code = main(["perturb", write_config(tmp_path, with_settings(cfg, odd))])
+    assert code in DOCUMENTED_EXITS
+    if code != EXIT_OK:
+        assert_nothing_written(out)
+
+
+@given(statistic=st.sampled_from(["underage", "overage", "underage_count", "overage_count"]), odd=odd_settings([
+    "original", "statistic", "threshold", "threshold.kind", "threshold.e", "threshold.alpha", "chunk_hours",
+    "autocorr_lag",
+]))
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_analyze_config_exits_with_a_documented_code(tmp_path_factory, small_ensembles, statistic, odd):
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    out = tmp_path / "analysis"
+    cfg = {"ensemble_dir": str(small_ensembles[0]), "original": SOLAR, "statistic": statistic,
+           "threshold": {"kind": "absolute", "e": 10.0, "alpha": 0.05}, "chunk_hours": 24, "autocorr_lag": 24,
+           "output_dir": str(out)}
+    code = main(["analyze", write_config(tmp_path, with_settings(cfg, odd))])
+    assert code in DOCUMENTED_EXITS
+    if code != EXIT_OK:
+        assert_nothing_written(out)
+
+
+@given(actions=st.sets(st.sampled_from(["weights", "sweep", "ensembles"]), min_size=1), odd=odd_settings([
+    "nuclear", "shortfall_fraction", "weights", "weights.solar", "weights.wind", "sweep", "sweep.curtailment_cap",
+    "sweep.solar_weights", "sweep.wind_weights", "ensembles", "ensembles.solar_dir", "ensembles.pairing_seed",
+    "ensembles.pairs",
+]))
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_vre_config_exits_with_a_documented_code(tmp_path_factory, small_ensembles, actions, odd):
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    out = tmp_path / "vre"
+    sections = {
+        "weights": {"solar": 3, "wind": 2},
+        "sweep": {"curtailment_cap": 0.5, "solar_weights": [0, 3], "wind_weights": [0, 2]},
+        "ensembles": {"solar_dir": str(small_ensembles[0]), "wind_dir": str(small_ensembles[1]),
+                      "pairing_seed": 7, "pairs": 3},
+    }
+    cfg = {"solar": SOLAR, "wind": WIND, "nuclear": NUCLEAR, "load": LOAD, "shortfall_fraction": 0.9,
+           **{key: sections[key] for key in actions}, "output_dir": str(out)}
+    code = main(["vre", write_config(tmp_path, with_settings(cfg, odd))])
+    assert code in DOCUMENTED_EXITS
+    if code != EXIT_OK:
+        assert_nothing_written(out)

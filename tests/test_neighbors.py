@@ -1,21 +1,30 @@
-"""Golden checksums of year-length neighbour pools.
+"""Neighbour pools against the full stable sort.
 
-The digests were recorded with the full stable-sort search that the
+The golden digests were recorded with the full stable-sort search that the
 partitioned search replaced, for the pool configurations of the case study
 on an 8760-hour in-process fixture. Any change to a pool index or to a
-distance byte at year length fails here.
+distance byte at year length fails here. The matrices after them put
+duplicate rows where the search, which runs once per distinct row, could
+get a row's own place in the shared order wrong.
 """
 
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from synthseries import neighbors
+from synthseries.neighbors import nearest_rows
 from synthseries.nnlb import build_lag_matrix, find_neighbor_pools
 from synthseries.sbb import build_windows, find_window_pools
 
+from .oracles import stable_sort_pools
 from .series_fixtures import solar_like, wind_like
 
 YEAR = 8760
@@ -44,3 +53,87 @@ def pool_digest(indices: np.ndarray, distances: np.ndarray) -> str:
 def test_year_pools_match_golden_digest(name):
     pools = _pools(name)
     assert pool_digest(pools.indices, pools.distances) == GOLDEN[name]
+
+
+def assert_stable_sort_pools(matrix, k, include_self):
+    indices, distances = nearest_rows(matrix, k, include_self)
+    ref_idx, ref_dist = stable_sort_pools(matrix, k, include_self)
+    assert np.array_equal(indices, ref_idx)
+    assert distances.tobytes() == ref_dist.tobytes()
+
+
+def with_duplicates(n_distinct: int, copies: dict[int, int], seed: int) -> np.ndarray:
+    """Integer rows, distinct row r repeated ``copies.get(r, 1)`` times, shuffled."""
+    rng = np.random.default_rng(seed)
+    distinct = np.unique(rng.integers(0, 50, size=(3 * n_distinct, 3)), axis=0)[:n_distinct].astype(float)
+    assert distinct.shape[0] == n_distinct
+    rows = np.repeat(distinct, [copies.get(r, 1) for r in range(n_distinct)], axis=0)
+    return rows[rng.permutation(rows.shape[0])]
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("include_self", [True, False])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_group_larger_than_the_shared_order(self, k, include_self):
+        # twelve copies of one row: most members are not among its k + 1
+        # nearest and must still lead (with self) or be left out of their pool
+        m = with_duplicates(20, {4: 12, 9: 3}, seed=1)
+        assert_stable_sort_pools(m, k, include_self)
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_k_at_its_limit(self, include_self):
+        m = with_duplicates(15, {2: 4, 7: 2}, seed=2)
+        n = m.shape[0]
+        assert_stable_sort_pools(m, n if include_self else n - 1, include_self)
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_all_rows_equal(self, k, include_self):
+        assert_stable_sort_pools(np.full((10, 2), 7.0), k, include_self)
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_signed_zeros_are_one_row(self, include_self):
+        m = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0], [2.0, 1.0], [-0.0, 1.0]])
+        assert np.unique(m, axis=0).shape[0] == 3
+        assert_stable_sort_pools(m, 4, include_self)
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    @pytest.mark.parametrize("k", [1, 6, 40])
+    def test_groups_spread_over_several_blocks(self, k, include_self):
+        # members of one distinct row stand far apart in the matrix, and the
+        # distinct rows take more than two search blocks
+        block = neighbors._BLOCK_ROWS
+        m = with_duplicates(2 * block + 50, {0: 9, 1: 5, block: 7, 2 * block + 3: 60}, seed=3)
+        assert np.unique(m, axis=0).shape[0] > 2 * block
+        assert_stable_sort_pools(m, k, include_self)
+
+    @given(
+        matrix=st.integers(1, 40).flatmap(
+            lambda n: arrays(np.float64, (n, 2), elements=st.sampled_from([0.0, -0.0, 1.0, 2.0, 5.0]))
+        ),
+        include_self=st.booleans(),
+        k_fraction=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fuzz_small_integer_matrices(self, matrix, include_self, k_fraction):
+        n = matrix.shape[0]
+        limit = n if include_self else n - 1
+        if limit < 1:
+            return
+        assert_stable_sort_pools(matrix, 1 + int(k_fraction * (limit - 1)), include_self)
+
+
+def test_year_search_peak_memory():
+    """The per-block scatter keeps the year-length wind search near the size of
+    its own outputs plus one block; gathering every row's shared order at full
+    height would not."""
+    import scipy.spatial.distance  # noqa: F401  (its import is not the search's memory)
+
+    windows = build_windows(wind_like(YEAR, 2026), 4).windows
+    tracemalloc.start()
+    try:
+        nearest_rows(windows, 100, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6

@@ -11,7 +11,7 @@ from synthseries.nnlb import build_lag_matrix, find_neighbor_pools, generate_nnl
 from synthseries.series import HourlySeries
 
 from .oracles import brute_lag_matrix, brute_pools, stable_sort_pools
-from .series_fixtures import POOL_CASES, crosses_block_edge_at_night, pool_size, solar_like
+from .series_fixtures import POOL_CASES, pool_size, solar_like, spans_blocks_with_nights
 
 series_strategy = st.lists(
     st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False),
@@ -85,13 +85,14 @@ class TestNeighborPools:
 
 
 class TestNeighborPoolsAcrossBlocks:
-    """n spans several search blocks, and solar nights put exact zero-distance
-    ties on both sides of a block edge."""
+    """The distinct rows span several search blocks, and the all-zero night
+    row, whose members are spread over the whole matrix, puts exact
+    zero-distance ties at the pool boundary."""
 
     @pytest.fixture(scope="class")
     def lags(self):
         lm = build_lag_matrix(solar_like(1500, 12), 5)
-        assert crosses_block_edge_at_night(lm.lag_vectors)
+        assert spans_blocks_with_nights(lm.lag_vectors)
         return lm
 
     @pytest.mark.parametrize("include_self", [True, False])

@@ -11,7 +11,7 @@ from synthseries.sbb import build_windows, find_window_pools, generate_sbb, gene
 from synthseries.series import HourlySeries
 
 from .oracles import brute_pools, brute_window_matrix, stable_sort_pools
-from .series_fixtures import POOL_CASES, crosses_block_edge_at_night, pool_size, solar_like
+from .series_fixtures import POOL_CASES, pool_size, solar_like, spans_blocks_with_nights
 
 series_strategy = st.lists(
     st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False),
@@ -80,13 +80,14 @@ class TestWindowPools:
 
 
 class TestWindowPoolsAcrossBlocks:
-    """n spans several search blocks, and solar nights put exact zero-distance
-    ties on both sides of a block edge."""
+    """The distinct rows span several search blocks, and the all-zero night
+    row, whose members are spread over the whole matrix, puts exact
+    zero-distance ties at the pool boundary."""
 
     @pytest.fixture(scope="class")
     def windows(self):
         wm = build_windows(solar_like(1500, 11), 2)
-        assert crosses_block_edge_at_night(wm.windows)
+        assert spans_blocks_with_nights(wm.windows)
         return wm
 
     @pytest.mark.parametrize("include_self", [True, False])

@@ -12,7 +12,9 @@ from synthseries.errors import (
     EmptyFile,
     InvalidChunkLength,
     MissingColumn,
+    IOErrorSS,
     SynthSeriesError,
+    UndecodableFile,
     UnparseableValue,
     ValidationError,
 )
@@ -137,6 +139,14 @@ class TestCsv:
         p.write_text("value\n", encoding="utf-8")
         with pytest.raises(EmptyFile):
             load_csv(p)
+
+    @pytest.mark.parametrize("content", [b"value\n1.0\n\xff\n", b"timestamp,value\nt\xe9,1.0\n", b"\xff"])
+    def test_not_utf8_is_an_io_error_naming_the_file(self, tmp_path, content):
+        p = tmp_path / "latin.csv"
+        p.write_bytes(content)
+        with pytest.raises(UndecodableFile, match="latin.csv") as exc:
+            load_csv(p, timestamp_column="timestamp" if b"," in content else None)
+        assert isinstance(exc.value, IOErrorSS)
 
     def test_timestamp_column(self, tmp_path):
         p = tmp_path / "ts.csv"

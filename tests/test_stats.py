@@ -50,6 +50,12 @@ class TestSummarize:
         with pytest.raises(SeriesTooShort):
             summarize(HourlySeries(np.ones(10)), autocorr_lag=24)
 
+    @pytest.mark.parametrize("lag", [0, -2])
+    def test_lag_below_one(self, lag):
+        # a lag of 0 used to fail inside numpy and a negative one to return a number
+        with pytest.raises(ConfigError):
+            summarize(HourlySeries(np.arange(10.0)), autocorr_lag=lag)
+
 
 class TestThreshold:
     def test_validation(self):
