@@ -30,7 +30,6 @@ from .stats import (
     ExceedanceReport,
     SummaryStats,
     Threshold,
-    contiguous_count,
     empirical_distribution,
     ensemble_summary_table,
     overage,
@@ -62,7 +61,6 @@ __all__ = [
     "chunk",
     "circular_get",
     "combine_vre",
-    "contiguous_count",
     "direction_audit",
     "empirical_distribution",
     "ensemble_adequacy",

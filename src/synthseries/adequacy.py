@@ -8,6 +8,7 @@ whose total generation falls below a stated fraction of that day's demand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
@@ -24,8 +25,8 @@ class VreWeights:
     wind: float
 
     def __post_init__(self):
-        if self.solar < 0 or self.wind < 0:
-            raise ConfigError(f"weights must be >= 0, got ({self.solar}, {self.wind})")
+        if not all(math.isfinite(w) and w >= 0 for w in (self.solar, self.wind)):
+            raise ConfigError(f"weights must be finite and >= 0, got ({self.solar}, {self.wind})")
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,17 @@ def combine_vre(solar: HourlySeries, wind: HourlySeries, weights: VreWeights) ->
     return HourlySeries(weights.solar * solar.values + weights.wind * wind.values, label="vre")
 
 
+def _supplied_curtailed(vre: np.ndarray, nuclear: np.ndarray, load: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Hourly generation, and the fractions of load supplied and of VRE curtailed."""
+    if load.sum() <= 0:
+        raise ZeroLoad("load energy is zero")
+    gen = nuclear + vre
+    supplied = float(np.minimum(gen, load).sum() / load.sum())
+    vre_total = float(vre.sum())
+    surplus = float(np.maximum(gen - load, 0.0).sum())
+    return gen, supplied, surplus / vre_total if vre_total > 0 else 0.0
+
+
 def adequacy(
     vre: HourlySeries,
     nuclear: HourlySeries,
@@ -60,13 +72,9 @@ def adequacy(
     shortfall_fraction: float = 0.9,
 ) -> AdequacyResult:
     _check_lengths(vre, nuclear, load)
-    if load.values.sum() <= 0:
-        raise ZeroLoad("total load energy is zero")
-    gen = nuclear.values + vre.values
-    supplied = float(np.minimum(gen, load.values).sum() / load.values.sum())
-    vre_total = float(vre.values.sum())
-    surplus = float(np.maximum(gen - load.values, 0.0).sum())
-    curtailed = surplus / vre_total if vre_total > 0 else 0.0
+    if not math.isfinite(shortfall_fraction):
+        raise OutOfRange(f"shortfall fraction must be finite, got {shortfall_fraction}")
+    gen, supplied, curtailed = _supplied_curtailed(vre.values, nuclear.values, load.values)
     gen_daily = chunk(HourlySeries(gen), 24).sums()
     load_daily = chunk(load, 24).sums()
     shortfall = int(np.sum(gen_daily < shortfall_fraction * load_daily))
@@ -88,6 +96,8 @@ def weight_sweep(
     Feasibility means percent_curtailed <= cap. Ties on supplied break
     toward the smaller total build-out (solar + wind weight).
     """
+    if not math.isfinite(curtailment_cap):
+        raise OutOfRange(f"curtailment cap must be finite, got {curtailment_cap}")
     ws = list(solar_weights)
     ww = list(wind_weights)
     if not ws or not ww:
@@ -158,13 +168,8 @@ def windowed_adequacy(
     if duration_hours % 24:
         # shortfall days are defined on whole days; ragged windows only
         # report the supplied/curtailed fractions
-        gen = nuc.values + v.values
-        if ld.values.sum() <= 0:
-            raise ZeroLoad("window load energy is zero")
-        supplied = float(np.minimum(gen, ld.values).sum() / ld.values.sum())
-        vre_total = float(v.values.sum())
-        surplus = float(np.maximum(gen - ld.values, 0.0).sum())
-        return AdequacyResult(supplied, surplus / vre_total if vre_total > 0 else 0.0, 0)
+        _, supplied, curtailed = _supplied_curtailed(v.values, nuc.values, ld.values)
+        return AdequacyResult(supplied, curtailed, 0)
     return adequacy(v, nuc, ld, shortfall_fraction)
 
 

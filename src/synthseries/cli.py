@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -57,12 +58,16 @@ def _load_config(path: str) -> dict[str, Any]:
 
 
 def _coerce(value: Any, kind: type, key: str) -> Any:
-    """``kind(value)``; a config value that does not convert is a config error."""
+    """``kind(value)``; a config value that does not convert, or a float that
+    is NaN or infinite, is a config error."""
     try:
-        return kind(value)
+        result = kind(value)
     except (TypeError, ValueError, OverflowError):
         name = "an integer" if kind is int else "a number"
         raise ConfigError(f"{key!r} must be {name}, got {value!r}") from None
+    if kind is float and not math.isfinite(result):
+        raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
+    return result
 
 
 def _require(cfg: dict[str, Any], key: str, kind: type | None = None) -> Any:
@@ -105,12 +110,13 @@ def _section(cfg: dict[str, Any], key: str, default: dict[str, Any] | None = Non
 
 
 def _numbers(cfg: dict[str, Any], key: str) -> list[float]:
-    """A list of JSON numbers, passed on as written (outputs echo them)."""
+    """A list of finite JSON numbers, passed on as written (outputs echo them)."""
     values = _require(cfg, key)
     if not isinstance(values, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+        (isinstance(v, int) and not isinstance(v, bool)) or (isinstance(v, float) and math.isfinite(v))
+        for v in values
     ):
-        raise ConfigError(f"{key!r} must be a list of numbers, got {values!r}")
+        raise ConfigError(f"{key!r} must be a list of finite numbers, got {values!r}")
     return values
 
 

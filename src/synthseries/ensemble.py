@@ -53,9 +53,6 @@ class Ensemble:
     def child_seeds(self) -> tuple[tuple[int, int], ...]:
         return tuple(child_seed(self.master_seed, b) for b in range(len(self)))
 
-    def means(self) -> np.ndarray:
-        return np.array([s.values.mean() for s in self.series])
-
     def save(self, directory: str | Path) -> Path:
         """Write one CSV per series plus a JSON manifest.
 

@@ -1,13 +1,21 @@
 """Exact k-nearest-row search over a feature matrix.
 
 Shared by the lag-vector and window resamplers. Distances are Euclidean,
-computed blockwise with ``cdist`` so an 8760-row year never materializes
-the full n x n matrix at once.
+computed blockwise so an 8760-row year never materializes the full n x n
+matrix at once, and bit-identical to scipy's ``cdist``: per pair, the
+squared column differences ``(a_j - b_j) * (a_j - b_j)`` are added one
+column at a time, in column order, and the sum goes through ``np.sqrt``.
+That is the order of scipy's euclidean loop, and numpy never fuses the
+separate multiply and add, so the bytes do not depend on how numpy was
+built. The usual faster forms change the bytes, and with them the pools:
+the BLAS expansion ||a||^2 + ||b||^2 - 2 a.b rounds differently, and a
+``.sum(axis=-1)`` over contiguous rows adds pairwise from 8 columns on
+(the 9-column windows of sash 4).
 
 A row's pool is the first k of its candidates ordered by (distance, row
 index), i.e. the first k entries of a stable sort of the row, without
 sorting the row. Equal rows (the all-zero windows of solar nights, about
-a third of a solar year) have byte-identical ``cdist`` rows and so one
+a third of a solar year) have byte-identical distance rows and so one
 shared candidate order; only where the row itself sits in it differs.
 The search therefore runs once per distinct row (``np.unique``), against
 all n rows, itself included, and selects one candidate more than a pool
@@ -21,7 +29,7 @@ plus the lowest-index candidates at exactly the boundary distance.
 ``lexsort`` then orders it by (distance, index). Each original row takes
 the shared order of its distinct row without itself, and with
 ``include_self`` puts itself first, at distance 0. The pool indices and the
-``cdist`` distance bytes are therefore exactly those of the full stable
+distance bytes are therefore exactly those of the full stable
 sort, at O(n) per distinct row.
 """
 
@@ -34,6 +42,31 @@ from .errors import ConfigError
 # distinct rows per distance block; a block holds a few (rows, n) temporaries
 # (the distances, the partition, the tie-closure masks), so this bounds peak memory
 _BLOCK_ROWS = 128
+# block rows per distance pass; a tile and its scratch stay in cache for all
+# the columns (at n = 8760, 4 to 16 rows were alike and whole blocks slower)
+_TILE_ROWS = 8
+
+
+def _euclidean(rows: np.ndarray, columns: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """``out[i, t]`` = the distance from ``rows[i]`` to ``columns[:, t]``, as ``cdist`` sums it.
+
+    ``columns`` is the transposed matrix, C-contiguous; ``scratch`` holds
+    ``_TILE_ROWS`` rows as long as ``out``'s.
+    """
+    if not columns.shape[0]:
+        out.fill(0.0)
+        return
+    for r in range(0, rows.shape[0], _TILE_ROWS):
+        acc = out[r : r + _TILE_ROWS]
+        tile = rows[r : r + _TILE_ROWS]
+        sq = scratch[: acc.shape[0]]
+        np.subtract(tile[:, :1], columns[0], out=acc)
+        np.multiply(acc, acc, out=acc)
+        for j in range(1, columns.shape[0]):
+            np.subtract(tile[:, j : j + 1], columns[j], out=sq)
+            np.multiply(sq, sq, out=sq)
+            np.add(acc, sq, out=acc)
+        np.sqrt(acc, out=acc)
 
 
 def nearest_rows(
@@ -49,9 +82,6 @@ def nearest_rows(
     non-decreasing distance with ties broken by smaller row index. When
     ``include_self`` the first entry of row i is i itself at distance 0.
     """
-    # imported here so that the commands that never search do not load scipy
-    from scipy.spatial.distance import cdist
-
     m = np.asarray(matrix, dtype=float)
     n = m.shape[0]
     limit = n if include_self else n - 1
@@ -71,10 +101,14 @@ def nearest_rows(
 
     indices = np.empty((n, k), dtype=np.intp)
     distances = np.empty((n, k), dtype=float)
+    columns = np.ascontiguousarray(m.T)
+    block = np.empty((min(_BLOCK_ROWS, distinct.shape[0]), n))
+    scratch = np.empty((_TILE_ROWS, n))
     for start in range(0, distinct.shape[0], _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, distinct.shape[0])
         rows = np.arange(stop - start)
-        d = cdist(distinct[start:stop], m)
+        d = block[: stop - start]
+        _euclidean(distinct[start:stop], columns, d, scratch)
         cols = np.argpartition(d, kk - 1, axis=1)[:, :kk].copy()
         kth = d[rows, cols[:, kk - 1]][:, None]
         # rows with more than kk candidates within the kk-th distance, where

@@ -8,6 +8,7 @@ an empirical distribution with mass 1/B each.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -91,6 +92,8 @@ class Threshold:
     alpha: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.e) and math.isfinite(self.alpha)):
+            raise ConfigError(f"threshold must be finite, got e={self.e}, alpha={self.alpha}")
         if self.kind == "absolute":
             if self.e < 0:
                 raise ConfigError(f"absolute threshold must be >= 0, got {self.e}")
@@ -132,13 +135,6 @@ def overage(
     e = threshold.per_chunk(orig)
     hit = surplus >= e
     return float(surplus[hit].sum()), int(hit.sum())
-
-
-def contiguous_count(
-    original: HourlySeries, synthetic: HourlySeries, length: int, threshold: Threshold
-) -> int:
-    """Underage chunk count for an arbitrary chunk length (48h analyses etc.)."""
-    return underage(original, synthetic, length, threshold)[1]
 
 
 @dataclass(frozen=True)

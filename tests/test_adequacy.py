@@ -14,7 +14,7 @@ from synthseries.adequacy import (
     weight_sweep,
     windowed_adequacy,
 )
-from synthseries.errors import EmptyGrid, LengthMismatch, OutOfRange, ZeroLoad
+from synthseries.errors import ConfigError, EmptyGrid, LengthMismatch, OutOfRange, ZeroLoad
 from synthseries.sbb import generate_sbb_batch
 from synthseries.series import HourlySeries
 
@@ -35,6 +35,11 @@ class TestCombineVre:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             combine_vre(HourlySeries(np.ones(3)), HourlySeries(np.ones(4)), VreWeights(1, 1))
+
+    @pytest.mark.parametrize("weights", [(float("nan"), 1.0), (1.0, float("inf")), (-1.0, 1.0)])
+    def test_weights_must_be_finite_and_non_negative(self, weights):
+        with pytest.raises(ConfigError):
+            VreWeights(*weights)
 
 
 class TestAdequacy:
@@ -74,6 +79,12 @@ class TestAdequacy:
         eps = adequacy(HourlySeries(gen), HourlySeries(np.zeros(48)), load, shortfall_fraction=1e-9)
         assert eps.shortfall_days == 1
 
+    @pytest.mark.parametrize("fraction", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_shortfall_fraction_rejected(self, fraction):
+        s = HourlySeries(np.ones(48))
+        with pytest.raises(OutOfRange, match="finite"):
+            adequacy(s, s, s, shortfall_fraction=fraction)
+
     def test_fractions_in_unit_interval(self, rng):
         load = HourlySeries(np.abs(rng.normal(100, 30, size=240)) + 1)
         vre = HourlySeries(np.abs(rng.normal(120, 80, size=240)))
@@ -87,6 +98,14 @@ class TestWeightSweep:
         s = HourlySeries(np.ones(24))
         with pytest.raises(EmptyGrid):
             weight_sweep(s, s, s, s, 0.1, [], [1])
+
+    @pytest.mark.parametrize("cap", [float("nan"), float("inf")])
+    def test_non_finite_cap_rejected(self, cap):
+        # a NaN cap would rank nothing (every comparison is false), an
+        # infinite one every grid point
+        s = HourlySeries(np.ones(24))
+        with pytest.raises(OutOfRange, match="finite"):
+            weight_sweep(s, s, s, s, cap, [1], [1])
 
     def test_cap_zero_excludes_curtailing_weights(self):
         load = HourlySeries(np.full(48, 10.0))
@@ -149,6 +168,16 @@ class TestSeasonalWindow:
         windowed = windowed_adequacy(vre, nuclear_fixture, load_fixture, 0, len(load_fixture))
         assert windowed.percent_supplied == pytest.approx(full.percent_supplied)
         assert windowed.percent_curtailed == pytest.approx(full.percent_curtailed)
+
+    def test_ragged_window_fractions_equal_adequacy_of_the_slice(
+        self, solar_fixture, wind_fixture, nuclear_fixture, load_fixture
+    ):
+        vre = combine_vre(solar_fixture, wind_fixture, VreWeights(3, 2))
+        ragged = windowed_adequacy(vre, nuclear_fixture, load_fixture, 30, 100)
+        sliced = adequacy(*seasonal_window([vre, nuclear_fixture, load_fixture], 30, 100))
+        assert ragged.percent_supplied == sliced.percent_supplied
+        assert ragged.percent_curtailed == sliced.percent_curtailed
+        assert ragged.shortfall_days == 0
 
     def test_out_of_range(self, solar_fixture):
         with pytest.raises(OutOfRange):

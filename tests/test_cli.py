@@ -259,6 +259,24 @@ class TestVre:
         assert code == EXIT_VALIDATION
         assert_nothing_written(out)
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"shortfall_fraction": float("nan")}, "'shortfall_fraction' must be a finite number"),
+        ({"weights": {"solar": float("nan"), "wind": 2}}, "'solar' must be a finite number"),
+        ({"sweep": {"curtailment_cap": 0.5, "solar_weights": [0, float("inf")], "wind_weights": [0, 2]}},
+         "'solar_weights' must be a list of finite numbers"),
+    ])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, setting, message):
+        # every comparison with NaN is false, so a NaN shortfall_fraction would
+        # report no shortfall days; a NaN weight would fail later, unnamed
+        out = tmp_path / "vre"
+        cfg = write_config(tmp_path, {
+            "solar": SOLAR, "wind": WIND, "nuclear": NUCLEAR, "load": LOAD,
+            "weights": {"solar": 3, "wind": 2}, **setting, "output_dir": str(out),
+        })
+        assert main(["vre", cfg]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert_nothing_written(out)
+
     def test_requires_some_action(self, tmp_path):
         cfg = write_config(tmp_path, {
             "solar": SOLAR, "wind": WIND, "nuclear": NUCLEAR, "load": LOAD,
@@ -277,13 +295,23 @@ def test_missing_config_file(tmp_path):
     assert main(["generate", str(tmp_path / "absent.json")]) == EXIT_IO
 
 
-def test_cli_import_does_not_load_scipy():
-    """Only the neighbour search needs scipy; analyze, perturb and vre start without it."""
+def test_cli_import_does_not_load_scipy(tmp_path):
+    """No command needs scipy: importing the CLI loads none of it, and generate,
+    the one command that searches, runs with scipy blocked and writes the same
+    members as an in-process run."""
     src = str(Path(synthseries.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, synthseries.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+    cfg = write_config(tmp_path, {"input": WIND, "method": "sbb", "params": {"sash": 4, "p": 10}, "B": 3, "seed": 5,
+                                  "output_dir": str(tmp_path / "in_process")})
+    assert main(["generate", cfg]) == EXIT_OK
+    blocked = "import sys; sys.modules['scipy'] = None; from synthseries.cli import main; sys.exit(main(sys.argv[1:]))"
+    subprocess.run([sys.executable, "-c", blocked, "generate", cfg, "--output-dir", str(tmp_path / "blocked")],
+                   env=env, capture_output=True, text=True, check=True)
+    assert dir_bytes(tmp_path / "blocked") == dir_bytes(tmp_path / "in_process")
 
 
 class TestExitCodes:

@@ -5,7 +5,10 @@ partitioned search replaced, for the pool configurations of the case study
 on an 8760-hour in-process fixture. Any change to a pool index or to a
 distance byte at year length fails here. The matrices after them put
 duplicate rows where the search, which runs once per distinct row, could
-get a row's own place in the shared order wrong.
+get a row's own place in the shared order wrong. Integer-valued matrices
+cannot show the order in which a distance adds its columns, so the float
+matrices at the end, up to 12 columns wide and of mixed magnitudes, check
+the distance bytes against ``cdist`` through the oracle.
 """
 
 from __future__ import annotations
@@ -92,6 +95,10 @@ class TestDistinctRows:
         assert_stable_sort_pools(np.full((10, 2), 7.0), k, include_self)
 
     @pytest.mark.parametrize("include_self", [True, False])
+    def test_rows_without_columns_are_all_equal(self, include_self):
+        assert_stable_sort_pools(np.empty((6, 0)), 3, include_self)
+
+    @pytest.mark.parametrize("include_self", [True, False])
     def test_signed_zeros_are_one_row(self, include_self):
         m = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0], [2.0, 1.0], [-0.0, 1.0]])
         assert np.unique(m, axis=0).shape[0] == 3
@@ -123,12 +130,41 @@ class TestDistinctRows:
         assert_stable_sort_pools(matrix, 1 + int(k_fraction * (limit - 1)), include_self)
 
 
+class TestFloatMatrices:
+    @given(
+        shape=st.tuples(st.integers(1, 40), st.integers(1, 12)),
+        exponents=st.lists(st.integers(-3, 6), min_size=12, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+        duplicates=st.booleans(),
+        include_self=st.booleans(),
+        k_fraction=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fuzz_mixed_magnitudes(self, shape, exponents, seed, duplicates, include_self, k_fraction):
+        n, f = shape
+        limit = n if include_self else n - 1
+        if limit < 1:
+            return
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((n, f)) * 10.0 ** np.array(exponents[:f])
+        if duplicates:
+            m = m[rng.integers(0, n, size=n)]
+        assert_stable_sort_pools(m, 1 + int(k_fraction * (limit - 1)), include_self)
+
+    @pytest.mark.parametrize("source, embed, k", [
+        ("solar", lambda s: build_windows(s, 2).windows, 20),
+        ("wind", lambda s: build_windows(s, 4).windows, 100),
+        ("solar", lambda s: build_lag_matrix(s, 5).lag_vectors, 20),
+    ], ids=["solar_sbb_sash2_p20", "wind_sbb_sash4_p100", "solar_nnlb_lag5_k20"])
+    def test_case_study_pools_on_the_test_data(self, request, source, embed, k):
+        series = request.getfixturevalue(f"{source}_fixture")
+        assert_stable_sort_pools(embed(series), k, True)
+
+
 def test_year_search_peak_memory():
     """The per-block scatter keeps the year-length wind search near the size of
     its own outputs plus one block; gathering every row's shared order at full
     height would not."""
-    import scipy.spatial.distance  # noqa: F401  (its import is not the search's memory)
-
     windows = build_windows(wind_like(YEAR, 2026), 4).windows
     tracemalloc.start()
     try:
