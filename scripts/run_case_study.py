@@ -13,8 +13,6 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 from synthseries.adequacy import VreWeights, adequacy, combine_vre, ensemble_adequacy, shortfall_histogram
 from synthseries.nnlb import generate_nnlb_batch
 from synthseries.sbb import generate_sbb_batch
@@ -45,11 +43,11 @@ def main() -> int:
         table = ensemble_summary_table(ensembles[name], src)
         write_table_csv(table, out / f"sbb_{name}_summary.csv")
         print(f"SBB {name} (sash={sash}, p={p}): mean-of-means "
-              f"{np.mean([s.mean for s in ensembles[name].series]):.2f} vs original {src.mean:.2f}")
+              f"{ensembles[name].values.mean(axis=1).mean():.2f} vs original {src.mean:.2f}")
 
     nnlb = generate_nnlb_batch(series["solar"], 5, 20, args.B, args.seed, threads=args.threads)
     write_table_csv(ensemble_summary_table(nnlb, series["solar"]), out / "nnlb_solar_summary.csv")
-    print(f"NNLB solar (l=5, k=20): mean-of-means {np.mean([s.mean for s in nnlb.series]):.2f}")
+    print(f"NNLB solar (l=5, k=20): mean-of-means {nnlb.values.mean(axis=1).mean():.2f}")
 
     for ws, ww in ((45, 22), (84, 64)):
         res = adequacy(combine_vre(series["solar"], series["wind"], VreWeights(ws, ww)),

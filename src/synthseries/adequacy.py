@@ -136,7 +136,7 @@ def ensemble_adequacy(
     wi = rng.integers(0, len(wind_ensemble), size=B)
     out = []
     for a, b in zip(si, wi):
-        vre = combine_vre(solar_ensemble.series[a], wind_ensemble.series[b], weights)
+        vre = combine_vre(HourlySeries(solar_ensemble.values[a]), HourlySeries(wind_ensemble.values[b]), weights)
         out.append(adequacy(vre, nuclear, load, shortfall_fraction))
     return out
 

@@ -9,7 +9,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ChecksumMismatch, ConfigError, IOErrorSS, MalformedManifest
+from .errors import ChecksumMismatch, ConfigError, IOErrorSS, LengthMismatch, MalformedManifest, ValidationError
 from .series import HourlySeries, load_csv, write_csv
 
 MANIFEST_NAME = "manifest.json"
@@ -34,40 +34,55 @@ def child_rng(master_seed: int, series_index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """B synthetic series plus the provenance needed to regenerate them."""
+    """B synthetic series plus the provenance needed to regenerate them.
 
-    series: tuple[HourlySeries, ...]
+    ``values`` is a read-only (B, n) float64 matrix; row b is member b.
+    """
+
+    values: np.ndarray
     method: str
     config: dict[str, Any]
     master_seed: int
     source_checksum: str
 
     def __post_init__(self):
-        if len(self.series) < 1:
-            raise ConfigError("ensemble must contain at least one series")
+        # a view, so that making it read-only leaves the caller's array as it was
+        values = np.asarray(self.values, dtype=float).view()
+        if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
+            raise ConfigError("ensemble must contain at least one non-empty series")
+        if not np.isfinite(values).all():
+            raise ValidationError("ensemble contains NaN or infinite values")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
-        return len(self.series)
+        return int(self.values.shape[0])
+
+    @property
+    def series(self) -> tuple[HourlySeries, ...]:
+        """The members as series, copied from ``values`` on each access."""
+        return tuple(HourlySeries(row) for row in self.values)
 
     @property
     def child_seeds(self) -> tuple[tuple[int, int], ...]:
         return tuple(child_seed(self.master_seed, b) for b in range(len(self)))
 
     def save(self, directory: str | Path) -> Path:
-        """Write one CSV per series plus a JSON manifest.
+        """Write one CSV per member plus a JSON manifest with each member's sha256.
 
         Members are bootstrap draws from one source, so they share most of
         their values; each distinct value is formatted once per save.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        width = max(4, len(str(len(self.series) - 1)))
-        names = []
+        width = max(4, len(str(len(self) - 1)))
+        names = [f"series_{b:0{width}d}.csv" for b in range(len(self))]
+        checksums = []
         reprs: dict[int, str] = {}
-        for b, s in enumerate(self.series):
-            name = f"series_{b:0{width}d}.csv"
-            write_csv(s, directory / name, reprs=reprs)
-            names.append(name)
+        for name, row in zip(names, self.values):
+            member = HourlySeries(row)
+            write_csv(member, directory / name, reprs=reprs)
+            checksums.append(member.checksum())
         manifest = {
             "method": self.method,
             "config": self.config,
@@ -75,7 +90,7 @@ class Ensemble:
             "source_checksum": self.source_checksum,
             "child_seed_rule": CHILD_SEED_RULE,
             "series_files": names,
-            "series_checksums": [s.checksum() for s in self.series],
+            "series_checksums": checksums,
         }
         (directory / MANIFEST_NAME).write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -84,17 +99,23 @@ class Ensemble:
 
     @classmethod
     def load(cls, directory: str | Path) -> "Ensemble":
-        """Read a saved ensemble, checking every member against its manifest checksum."""
+        """Read a saved ensemble, checking every member against its manifest
+        checksum and against the length of the first."""
         directory = Path(directory)
         manifest = _read_manifest(directory)
-        series = []
-        for name, expected in zip(manifest["series_files"], manifest["series_checksums"]):
-            s = load_csv(directory / name)
-            if s.checksum() != expected:
+        files = manifest["series_files"]
+        values = np.empty((len(files), 0))
+        for b, (name, expected) in enumerate(zip(files, manifest["series_checksums"])):
+            member = load_csv(directory / name)
+            if member.checksum() != expected:
                 raise ChecksumMismatch(f"{directory / name} does not match its manifest checksum")
-            series.append(s)
+            if b == 0:
+                values = np.empty((len(files), len(member)))
+            elif len(member) != values.shape[1]:
+                raise LengthMismatch(f"{directory / name} has {len(member)} values, {files[0]} has {values.shape[1]}")
+            values[b] = member.values
         return cls(
-            series=tuple(series),
+            values=values,
             method=manifest["method"],
             config=manifest["config"],
             master_seed=manifest["master_seed"],
@@ -140,21 +161,21 @@ def run_batch(
     master_seed: int,
     threads: int = 1,
 ) -> Ensemble:
-    """Generate B series, each from its own child seed.
+    """Generate B series, each from its own child seed, as the rows of one matrix.
 
-    ``generate_one(rng) -> np.ndarray`` must depend only on the supplied
-    RNG, so results are independent of generation order. ``threads`` is
-    accepted for compatibility and has no effect: a thread pool over the
-    members was slower than one loop at 2 threads.
+    ``generate_one(rng) -> np.ndarray`` returns one member of the source's
+    length and must depend only on the supplied RNG, so results are
+    independent of generation order. ``threads`` is accepted for
+    compatibility and has no effect: a thread pool over the members was
+    slower than one loop at 2 threads.
     """
     if B < 1:
         raise ConfigError(f"B must be >= 1, got {B}")
-    series = tuple(
-        HourlySeries(generate_one(child_rng(master_seed, b)), label=f"{source.label}_{method}_{b}")
-        for b in range(B)
-    )
+    values = np.empty((B, len(source)))
+    for b in range(B):
+        values[b] = generate_one(child_rng(master_seed, b))
     return Ensemble(
-        series=series,
+        values=values,
         method=method,
         config=config,
         master_seed=master_seed,

@@ -1,8 +1,11 @@
-"""Exact k-nearest-row search over a feature matrix.
+"""The k-nearest-neighbour bootstrap shared by NNLB and SBB, which differ
+only in the embedding offsets, the default kernel and their error classes:
+``embed`` the source at the offsets, find each row's k nearest rows
+(``nearest_rows``) and ``sample`` members from those pools by a rank kernel.
 
-Shared by the lag-vector and window resamplers. Distances are Euclidean,
-computed blockwise so an 8760-row year never materializes the full n x n
-matrix at once, and bit-identical to scipy's ``cdist``: per pair, the
+Distances are Euclidean, computed blockwise so an 8760-row year never
+materializes the full n x n matrix at once, and bit-identical to scipy's
+``cdist``: per pair, the
 squared column differences ``(a_j - b_j) * (a_j - b_j)`` are added one
 column at a time, in column order, and the sum goes through ``np.sqrt``.
 That is the order of scipy's euclidean loop, and numpy never fuses the
@@ -35,9 +38,13 @@ sort, at O(n) per distinct row.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import ConfigError
+from .kernels import ResamplingKernel
+from .series import HourlySeries
 
 # distinct rows per distance block; a block holds a few (rows, n) temporaries
 # (the distances, the partition, the tie-closure masks), so this bounds peak memory
@@ -45,6 +52,19 @@ _BLOCK_ROWS = 128
 # block rows per distance pass; a tile and its scratch stay in cache for all
 # the columns (at n = 8760, 4 to 16 rows were alike and whole blocks slower)
 _TILE_ROWS = 8
+
+
+class Pools(NamedTuple):
+    """Per row, the source indices of its k nearest rows and their distances, both (n, k)."""
+
+    indices: np.ndarray
+    distances: np.ndarray
+
+
+def embed(source: HourlySeries, offsets: np.ndarray) -> np.ndarray:
+    """(n, len(offsets)) matrix whose row i holds ``source[(i + o) % n]`` for each offset o."""
+    n = len(source)
+    return source.values[(np.arange(n)[:, None] + offsets) % n]
 
 
 def _euclidean(rows: np.ndarray, columns: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
@@ -75,10 +95,10 @@ def nearest_rows(
     include_self: bool,
     *,
     too_large: type[ConfigError] = ConfigError,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> Pools:
     """Per row, the k nearest rows of ``matrix`` and their distances.
 
-    Returns ``(indices, distances)``, both shaped (n, k), each row sorted by
+    Returns ``Pools(indices, distances)``, both shaped (n, k), each row sorted by
     non-decreasing distance with ties broken by smaller row index. When
     ``include_self`` the first entry of row i is i itself at distance 0.
     """
@@ -139,4 +159,13 @@ def nearest_rows(
         indices[own, lead:] = np.take_along_axis(shared, j + past_self, axis=1)
         if include_self:
             indices[own, 0] = own
-    return indices, distances
+    return Pools(indices, distances)
+
+
+def sample(source: HourlySeries, pools: Pools, kernel: ResamplingKernel, rng: np.random.Generator) -> np.ndarray:
+    """One member: per point a pool rank drawn from ``kernel``, and the source value at that neighbour."""
+    n, k = len(source), pools.indices.shape[1]
+    if kernel.k != k:
+        raise ConfigError(f"kernel has {kernel.k} ranks but the pools hold {k} neighbours per point")
+    ranks = rng.choice(k, size=n, p=kernel.probabilities)
+    return source.values[pools.indices[np.arange(n), ranks]]

@@ -8,61 +8,28 @@ and emits its focal (center) value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from functools import partial
 
 import numpy as np
 
 from .ensemble import Ensemble, run_batch
 from .errors import InvalidSash, PTooLarge
 from .kernels import ResamplingKernel, uniform_kernel
-from .neighbors import nearest_rows
+from .neighbors import Pools, embed, nearest_rows, sample
 from .series import HourlySeries
 
 
-@dataclass(frozen=True)
-class WindowMatrix:
-    """Row i is the symmetric window around point i; center column = source[i]."""
-
-    windows: np.ndarray  # (n, 1 + 2*sash)
-    sash: int
-
-    @property
-    def width(self) -> int:
-        return int(self.windows.shape[1])
-
-
-@dataclass(frozen=True)
-class WindowPools:
-    """Per point, the p window indices nearest its own window."""
-
-    indices: np.ndarray  # (n, p) intp
-    distances: np.ndarray
-    include_self: bool
-
-    @property
-    def p(self) -> int:
-        return int(self.indices.shape[1])
-
-
-def build_windows(source: HourlySeries, sash: int) -> WindowMatrix:
+def build_windows(source: HourlySeries, sash: int) -> np.ndarray:
+    """(n, 1 + 2*sash) matrix whose row i is the window around point i; center column = source[i]."""
     n = len(source)
     if sash < 1 or 1 + 2 * sash > n:
         raise InvalidSash(f"sash {sash} invalid: need 1 <= sash and 1+2*sash <= {n}")
-    vals = source.values
-    offsets = (np.arange(n)[:, None] + np.arange(-sash, sash + 1)[None, :]) % n
-    return WindowMatrix(vals[offsets], sash)
+    return embed(source, np.arange(-sash, sash + 1))
 
 
-def find_window_pools(windows: WindowMatrix, p: int, include_self: bool = True) -> WindowPools:
-    idx, dist = nearest_rows(windows.windows, p, include_self, too_large=PTooLarge)
-    return WindowPools(idx, dist, include_self)
-
-
-def _sample(source: HourlySeries, pools: WindowPools, kernel: ResamplingKernel, rng: np.random.Generator) -> np.ndarray:
-    n = len(source)
-    ranks = rng.choice(pools.p, size=n, p=kernel.probabilities)
-    return source.values[pools.indices[np.arange(n), ranks]]
+def find_window_pools(windows: np.ndarray, p: int, include_self: bool = True) -> Pools:
+    """Per point, the p window indices nearest its own window."""
+    return nearest_rows(windows, p, include_self, too_large=PTooLarge)
 
 
 def generate_sbb(
@@ -72,14 +39,11 @@ def generate_sbb(
     include_self: bool = True,
     seed: int = 0,
     kernel: ResamplingKernel | None = None,
-    pools: WindowPools | None = None,
 ) -> HourlySeries:
     """One synthetic series; uniform pool selection unless a kernel is given."""
     kernel = kernel or uniform_kernel(p)
-    if pools is None:
-        pools = find_window_pools(build_windows(source, sash), p, include_self)
-    rng = np.random.default_rng(seed)
-    return HourlySeries(_sample(source, pools, kernel, rng), label=f"{source.label}_sbb")
+    pools = find_window_pools(build_windows(source, sash), p, include_self)
+    return HourlySeries(sample(source, pools, kernel, np.random.default_rng(seed)), label=f"{source.label}_sbb")
 
 
 def generate_sbb_batch(
@@ -95,19 +59,5 @@ def generate_sbb_batch(
     """B independent series; same child-seed scheme as the NNLB batch."""
     kernel = kernel or uniform_kernel(p)
     pools = find_window_pools(build_windows(source, sash), p, include_self)
-    config: dict[str, Any] = {
-        "sash": sash,
-        "p": p,
-        "kernel": kernel.name,
-        "include_self": include_self,
-        "B": B,
-    }
-    return run_batch(
-        lambda rng: _sample(source, pools, kernel, rng),
-        source,
-        "sbb",
-        config,
-        B,
-        master_seed,
-        threads=threads,
-    )
+    config = {"sash": sash, "p": p, "kernel": kernel.name, "include_self": include_self, "B": B}
+    return run_batch(partial(sample, source, pools, kernel), source, "sbb", config, B, master_seed, threads=threads)

@@ -9,8 +9,8 @@ an empirical distribution with mass 1/B each.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -33,17 +33,9 @@ class SummaryStats:
     autocorr: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "min": self.min,
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "max": self.max,
-            "mean": self.mean,
-            "std": self.std,
-            "coeff_of_variation": self.coeff_of_variation,
-            f"autocorr_lag_{self.autocorr_lag}": self.autocorr,
-        }
+        d = asdict(self)
+        d[f"autocorr_lag_{d.pop('autocorr_lag')}"] = d.pop("autocorr")
+        return d
 
 
 STAT_ROWS = ["Min", "First Quartile", "Median", "Third Quartile", "Max",
@@ -59,27 +51,39 @@ def _autocorr(values: np.ndarray, lag: int) -> float:
     return float(x[:-lag] @ x[lag:]) / denom
 
 
-def summarize(series: HourlySeries | np.ndarray, autocorr_lag: int = 24) -> SummaryStats:
-    vals = series.values if isinstance(series, HourlySeries) else np.asarray(series, dtype=float)
+def _row_stats(values: np.ndarray, autocorr_lag: int) -> dict[str, np.ndarray]:
+    """Every :class:`SummaryStats` field of each row of a (rows, n) matrix, taken along axis 1."""
     if autocorr_lag < 1:
         raise ConfigError(f"autocorr lag must be >= 1, got {autocorr_lag}")
-    if len(vals) <= autocorr_lag:
-        raise SeriesTooShort(f"length {len(vals)} must exceed autocorr lag {autocorr_lag}")
-    q1, med, q3 = np.percentile(vals, [25, 50, 75])  # linear interpolation
-    mean = float(vals.mean())
-    std = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
-    return SummaryStats(
-        min=float(vals.min()),
-        q1=float(q1),
-        median=float(med),
-        q3=float(q3),
-        max=float(vals.max()),
-        mean=mean,
-        std=std,
-        coeff_of_variation=std / mean if mean != 0 else 0.0,
-        autocorr_lag=autocorr_lag,
-        autocorr=_autocorr(vals, autocorr_lag),
-    )
+    if values.shape[1] <= autocorr_lag:
+        raise SeriesTooShort(f"length {values.shape[1]} must exceed autocorr lag {autocorr_lag}")
+    q1, med, q3 = np.percentile(values, [25, 50, 75], axis=1)  # linear interpolation
+    mean = values.mean(axis=1)
+    std = values.std(axis=1, ddof=1)
+    return {
+        "min": values.min(axis=1),
+        "q1": q1,
+        "median": med,
+        "q3": q3,
+        "max": values.max(axis=1),
+        "mean": mean,
+        "std": std,
+        "coeff_of_variation": np.divide(std, mean, out=np.zeros_like(std), where=mean != 0),
+        "autocorr": np.array([_autocorr(row, autocorr_lag) for row in values]),
+    }
+
+
+def summarize(series: HourlySeries | np.ndarray, autocorr_lag: int = 24) -> SummaryStats:
+    vals = series.values if isinstance(series, HourlySeries) else np.asarray(series, dtype=float)
+    stats = _row_stats(vals.reshape(1, -1), autocorr_lag)
+    return SummaryStats(autocorr_lag=autocorr_lag, **{name: float(v[0]) for name, v in stats.items()})
+
+
+def _spread(values: np.ndarray) -> tuple[float, ...]:
+    """Mean, std, min, quartiles and max of per-member values."""
+    q1, med, q3 = np.percentile(values, [25, 50, 75])
+    std = float(values.std(ddof=1)) if values.size > 1 else 0.0
+    return float(values.mean()), std, float(values.min()), float(q1), float(med), float(q3), float(values.max())
 
 
 @dataclass(frozen=True)
@@ -146,17 +150,16 @@ class ExceedanceReport:
     masses: np.ndarray
 
     def describe(self) -> dict[str, float]:
-        v = self.values
-        q1, med, q3 = np.percentile(v, [25, 50, 75])
-        return {
-            "mean": float(v.mean()),
-            "std": float(v.std(ddof=1)) if v.size > 1 else 0.0,
-            "min": float(v.min()),
-            "q1": float(q1),
-            "median": float(med),
-            "q3": float(q3),
-            "max": float(v.max()),
-        }
+        return dict(zip(("mean", "std", "min", "q1", "median", "q3", "max"), _spread(self.values)))
+
+
+# statistic name -> (chunk comparison, field of its (total, count) result)
+_STATISTICS = {
+    "underage": (underage, 0),
+    "overage": (overage, 0),
+    "underage_count": (underage, 1),
+    "overage_count": (overage, 1),
+}
 
 
 def empirical_distribution(
@@ -167,18 +170,11 @@ def empirical_distribution(
     threshold: Threshold,
 ) -> ExceedanceReport:
     """Evaluate an exceedance statistic on every ensemble member."""
-    fn: Callable[[HourlySeries], float]
-    if statistic == "underage":
-        fn = lambda s: underage(original, s, length, threshold)[0]
-    elif statistic == "overage":
-        fn = lambda s: overage(original, s, length, threshold)[0]
-    elif statistic == "underage_count":
-        fn = lambda s: underage(original, s, length, threshold)[1]
-    elif statistic == "overage_count":
-        fn = lambda s: overage(original, s, length, threshold)[1]
-    else:
+    if not isinstance(statistic, str) or statistic not in _STATISTICS:
         raise ConfigError(f"unknown statistic {statistic!r}")
-    values = np.array([fn(s) for s in ensemble.series], dtype=float)
+    fn, field = _STATISTICS[statistic]
+    values = np.array([fn(original, HourlySeries(row), length, threshold)[field] for row in ensemble.values],
+                      dtype=float)
     B = len(ensemble)
     return ExceedanceReport(statistic, values, np.full(B, 1.0 / B))
 
@@ -188,26 +184,16 @@ def ensemble_summary_table(
 ) -> dict[str, dict[str, float]]:
     """Distribution of each summary statistic across the ensemble.
 
-    Rows are the per-series statistics; columns are mean/std/min/25%/50%/
-    75%/max over the B series, plus the original's value when supplied.
+    Rows are the per-series statistics, each taken along axis 1 of the
+    (B, n) matrix by the code :func:`summarize` runs on one series; columns
+    are mean/std/min/25%/50%/75%/max over the B series, plus the original's
+    value when supplied.
     """
-    per_series = [summarize(s, autocorr_lag) for s in ensemble.series]
-    rows = STAT_ROWS + [f"Autocorr. Lag: {autocorr_lag}"]
-    attrs = ["min", "q1", "median", "q3", "max", "mean", "std", "coeff_of_variation", "autocorr"]
+    columns = _row_stats(ensemble.values, autocorr_lag)
     orig = summarize(original, autocorr_lag) if original is not None else None
     table: dict[str, dict[str, float]] = {}
-    for row, attr in zip(rows, attrs):
-        col = np.array([getattr(s, attr) for s in per_series])
-        q1, med, q3 = np.percentile(col, [25, 50, 75])
-        entry = {
-            "mean": float(col.mean()),
-            "std": float(col.std(ddof=1)) if col.size > 1 else 0.0,
-            "min": float(col.min()),
-            "25%": float(q1),
-            "50%": float(med),
-            "75%": float(q3),
-            "max": float(col.max()),
-        }
+    for row, (attr, col) in zip(STAT_ROWS + [f"Autocorr. Lag: {autocorr_lag}"], columns.items()):
+        entry = dict(zip(("mean", "std", "min", "25%", "50%", "75%", "max"), _spread(col)))
         if orig is not None:
             entry["original"] = float(getattr(orig, attr))
         table[row] = entry

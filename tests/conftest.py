@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from synthseries.series import HourlySeries, load_csv
+from synthseries.series import HourlySeries, load_csv, write_csv
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -23,6 +24,18 @@ requires_pjm = pytest.mark.skipif(
 
 def pjm_series(name: str) -> HourlySeries:
     return load_csv(PJM_FILES[name], label=name)
+
+
+def shorten_member(ensemble_dir: Path, index: int, keep: int) -> None:
+    """Cut member ``index`` of a saved ensemble to its first ``keep`` values and
+    record the shorter member's checksum, so that only its length is wrong."""
+    path = ensemble_dir / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    member = ensemble_dir / manifest["series_files"][index]
+    short = HourlySeries(load_csv(member).values[:keep])
+    write_csv(short, member)
+    manifest["series_checksums"][index] = short.checksum()
+    path.write_text(json.dumps(manifest), encoding="utf-8")
 
 
 # criterion number -> (verdict, title); filled by tests/test_acceptance.py

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import synthseries
 from synthseries.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 
-from .conftest import DATA_DIR
+from .conftest import DATA_DIR, shorten_member
 
 SOLAR = str(DATA_DIR / "synthetic_solar.csv")
 WIND = str(DATA_DIR / "synthetic_wind.csv")
@@ -259,6 +259,14 @@ class TestVre:
         assert code == EXIT_VALIDATION
         assert_nothing_written(out)
 
+    def test_ensemble_with_a_short_member_leaves_no_outputs(self, tmp_path, capsys):
+        solar_dir, wind_dir = self._ensembles(tmp_path)
+        shorten_member(wind_dir, 1, 72)
+        code, out = self._vre_with_ensembles(tmp_path, solar_dir, wind_dir)
+        assert code == EXIT_VALIDATION
+        assert "series_0001.csv" in capsys.readouterr().err
+        assert_nothing_written(out)
+
     @pytest.mark.parametrize("setting, message", [
         ({"shortfall_fraction": float("nan")}, "'shortfall_fraction' must be a finite number"),
         ({"weights": {"solar": float("nan"), "wind": 2}}, "'solar' must be a finite number"),
@@ -362,6 +370,13 @@ class TestExitCodes:
         member.write_text("\n".join(lines) + "\n")
         assert self._analyze(tmp_path, ens) == EXIT_VALIDATION
         assert "series_0001.csv" in capsys.readouterr().err
+
+    def test_member_of_another_length_is_validation_error(self, tmp_path, capsys):
+        ens = self._generate(tmp_path)
+        shorten_member(ens, 1, 72)
+        assert self._analyze(tmp_path, ens) == EXIT_VALIDATION
+        assert "series_0001.csv" in capsys.readouterr().err
+        assert_nothing_written(tmp_path / "analysis")
 
     def test_ensemble_analysed_against_another_source_is_validation_error(self, tmp_path, capsys):
         ens = self._generate(tmp_path)

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from synthseries.ensemble import Ensemble, child_rng, child_seed
-from synthseries.errors import ChecksumMismatch, ConfigError, IOErrorSS, MalformedManifest
+from synthseries.errors import ChecksumMismatch, ConfigError, IOErrorSS, LengthMismatch, MalformedManifest
 from synthseries.kernels import uniform_kernel
 from synthseries.sbb import build_windows, find_window_pools, generate_sbb_batch
 from synthseries.series import HourlySeries, load_csv
+
+from .conftest import shorten_member
 
 
 def test_child_seeds_distinct_and_stable():
@@ -76,6 +78,24 @@ def test_load_rejects_an_edited_member(tmp_path, rng):
         Ensemble.load(tmp_path / "ens")
 
 
+def test_load_rejects_a_member_of_another_length(tmp_path, rng):
+    s = HourlySeries(np.abs(rng.normal(100, 10, size=96)))
+    generate_sbb_batch(s, 2, 3, B=4, master_seed=5).save(tmp_path / "ens")
+    shorten_member(tmp_path / "ens", 3, 72)
+    with pytest.raises(LengthMismatch, match="series_0003.csv"):
+        Ensemble.load(tmp_path / "ens")
+
+
+def test_members_are_the_rows_of_one_read_only_matrix(tmp_path, rng):
+    s = HourlySeries(np.abs(rng.normal(100, 10, size=60)))
+    ens = generate_sbb_batch(s, 2, 3, B=4, master_seed=5)
+    ens.save(tmp_path / "ens")
+    for e in (ens, Ensemble.load(tmp_path / "ens")):
+        assert e.values.shape == (4, 60) and e.values.dtype == np.float64
+        assert not e.values.flags.writeable
+        assert [m.values.tobytes() for m in e.series] == [row.tobytes() for row in ens.values]
+
+
 @pytest.mark.parametrize("edit", [
     lambda m: m.pop("series_files"),
     lambda m: m.update(series_checksums=m["series_checksums"][:1]),
@@ -99,7 +119,7 @@ def test_load_missing_manifest(tmp_path):
 
 def test_empty_ensemble_rejected():
     with pytest.raises(ConfigError):
-        Ensemble(series=(), method="sbb", config={}, master_seed=0, source_checksum="x")
+        Ensemble(values=np.empty((0, 3)), method="sbb", config={}, master_seed=0, source_checksum="x")
 
 
 def test_rerun_overwrites_identically(tmp_path, rng):

@@ -22,8 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from synthseries import neighbors
+from synthseries import neighbors, nnlb, sbb
 from synthseries.neighbors import nearest_rows
+from synthseries.series import HourlySeries
 from synthseries.nnlb import build_lag_matrix, find_neighbor_pools
 from synthseries.sbb import build_windows, find_window_pools
 
@@ -152,9 +153,9 @@ class TestFloatMatrices:
         assert_stable_sort_pools(m, 1 + int(k_fraction * (limit - 1)), include_self)
 
     @pytest.mark.parametrize("source, embed, k", [
-        ("solar", lambda s: build_windows(s, 2).windows, 20),
-        ("wind", lambda s: build_windows(s, 4).windows, 100),
-        ("solar", lambda s: build_lag_matrix(s, 5).lag_vectors, 20),
+        ("solar", lambda s: build_windows(s, 2), 20),
+        ("wind", lambda s: build_windows(s, 4), 100),
+        ("solar", lambda s: build_lag_matrix(s, 5), 20),
     ], ids=["solar_sbb_sash2_p20", "wind_sbb_sash4_p100", "solar_nnlb_lag5_k20"])
     def test_case_study_pools_on_the_test_data(self, request, source, embed, k):
         series = request.getfixturevalue(f"{source}_fixture")
@@ -165,7 +166,7 @@ def test_year_search_peak_memory():
     """The per-block scatter keeps the year-length wind search near the size of
     its own outputs plus one block; gathering every row's shared order at full
     height would not."""
-    windows = build_windows(wind_like(YEAR, 2026), 4).windows
+    windows = build_windows(wind_like(YEAR, 2026), 4)
     tracemalloc.start()
     try:
         nearest_rows(windows, 100, True)
@@ -173,3 +174,36 @@ def test_year_search_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+
+
+@pytest.mark.parametrize("module, generate, build, find", [
+    (sbb, sbb.generate_sbb_batch, "build_windows", "find_window_pools"),
+    (nnlb, nnlb.generate_nnlb_batch, "build_lag_matrix", "find_neighbor_pools"),
+], ids=["sbb", "nnlb"])
+def test_batch_calls_the_module_globals_a_tracer_wraps(monkeypatch, rng, module, generate, build, find):
+    """perfbench/tracer.py times a batch by replacing these globals of the
+    method's module: each runs once per batch, the search inside the pool
+    step, and ``run_batch`` is replayed with ``threads=``."""
+    calls = []
+    depth = [0]
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, depth[0], args, kwargs))
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    originals = {name: getattr(module, name) for name in (build, find, "nearest_rows", "run_batch")}
+    for name, fn in originals.items():
+        monkeypatch.setattr(module, name, counting(name, fn))
+    s = HourlySeries(rng.normal(size=60))
+    ens = generate(s, 2, 5, 3, 7)
+    assert [(name, d) for name, d, _, _ in calls] == [(build, 0), (find, 0), ("nearest_rows", 1), ("run_batch", 0)]
+    _, _, args, kwargs = calls[-1]
+    assert "threads" in kwargs
+    for threads in (1, 2):
+        assert originals["run_batch"](*args, **{**kwargs, "threads": threads}).values.tobytes() == ens.values.tobytes()

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synthseries.errors import InvalidLag, KTooLarge
-from synthseries.kernels import harmonic_kernel
+from synthseries.errors import ConfigError, InvalidLag, KTooLarge
+from synthseries.kernels import harmonic_kernel, uniform_kernel
 from synthseries.nnlb import build_lag_matrix, find_neighbor_pools, generate_nnlb, generate_nnlb_batch
 from synthseries.series import HourlySeries
 
@@ -24,16 +24,16 @@ class TestLagMatrix:
     def test_circular_first_row(self):
         s = HourlySeries(np.array([1.0, 2.0, 3.0, 4.0]))  # a, b, c, d
         lm = build_lag_matrix(s, 2)
-        assert lm.lag_vectors[0].tolist() == [3.0, 4.0]
+        assert lm[0].tolist() == [3.0, 4.0]
 
     def test_year_second_point(self):
         vals = np.arange(1, 8761, dtype=float)
         lm = build_lag_matrix(HourlySeries(vals), 4)
-        assert lm.lag_vectors[1].tolist() == [8758.0, 8759.0, 8760.0, 1.0]
+        assert lm[1].tolist() == [8758.0, 8759.0, 8760.0, 1.0]
 
     def test_single_lag(self):
         lm = build_lag_matrix(HourlySeries(np.array([5.0, 7.0])), 1)
-        assert lm.lag_vectors.tolist() == [[7.0], [5.0]]
+        assert lm.tolist() == [[7.0], [5.0]]
 
     def test_invalid_lag(self):
         s = HourlySeries(np.array([1.0, 2.0, 3.0]))
@@ -46,7 +46,7 @@ class TestLagMatrix:
     def test_matches_brute_force(self, s, lag):
         lag = min(lag, len(s) - 1)
         lm = build_lag_matrix(s, lag)
-        assert lm.lag_vectors.tolist() == brute_lag_matrix(list(s.values), lag)
+        assert lm.tolist() == brute_lag_matrix(list(s.values), lag)
 
 
 class TestNeighborPools:
@@ -60,7 +60,7 @@ class TestNeighborPools:
         s = HourlySeries(np.array([3.0, 1.0, 4.0, 1.0, 5.0]))
         lm = build_lag_matrix(s, 2)
         pools = find_neighbor_pools(lm, 2, include_self=True)
-        bi, bd = brute_pools(lm.lag_vectors.tolist(), 2, True)
+        bi, bd = brute_pools(lm.tolist(), 2, True)
         assert pools.indices.tolist() == bi
         np.testing.assert_allclose(pools.distances, bd, rtol=1e-9)
 
@@ -92,15 +92,15 @@ class TestNeighborPoolsAcrossBlocks:
     @pytest.fixture(scope="class")
     def lags(self):
         lm = build_lag_matrix(solar_like(1500, 12), 5)
-        assert spans_blocks_with_nights(lm.lag_vectors)
+        assert spans_blocks_with_nights(lm)
         return lm
 
     @pytest.mark.parametrize("include_self", [True, False])
     @pytest.mark.parametrize("case", POOL_CASES)
     def test_matches_stable_sort(self, lags, case, include_self):
-        k = pool_size(case, lags.lag_vectors, include_self)
+        k = pool_size(case, lags, include_self)
         pools = find_neighbor_pools(lags, k, include_self)
-        ref_idx, ref_dist = stable_sort_pools(lags.lag_vectors, k, include_self)
+        ref_idx, ref_dist = stable_sort_pools(lags, k, include_self)
         assert np.array_equal(pools.indices, ref_idx)
         assert pools.distances.tobytes() == ref_dist.tobytes()
 
@@ -123,6 +123,13 @@ class TestGenerate:
         assert a.values.tolist() == b.values.tolist()
         c = generate_nnlb(s, 4, 8, seed=100)
         assert a.values.tolist() != c.values.tolist()
+
+    def test_kernel_must_match_the_pool_size(self, rng):
+        s = HourlySeries(rng.normal(size=40))
+        with pytest.raises(ConfigError, match="kernel has 3 ranks but the pools hold 5"):
+            generate_nnlb(s, 3, 5, kernel=harmonic_kernel(3))
+        with pytest.raises(ConfigError, match="kernel has 4 ranks but the pools hold 5"):
+            generate_nnlb_batch(s, 3, 5, B=2, master_seed=1, kernel=uniform_kernel(4))
 
 
 class TestBatch:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synthseries.errors import InvalidSash, PTooLarge
-from synthseries.kernels import harmonic_kernel
+from synthseries.errors import ConfigError, InvalidSash, PTooLarge
+from synthseries.kernels import harmonic_kernel, uniform_kernel
 from synthseries.sbb import build_windows, find_window_pools, generate_sbb, generate_sbb_batch
 from synthseries.series import HourlySeries
 
@@ -24,16 +24,16 @@ class TestWindows:
     def test_circular_first_window(self):
         s = HourlySeries(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))  # a..e
         wm = build_windows(s, 1)
-        assert wm.windows[0].tolist() == [5.0, 1.0, 2.0]
+        assert wm[0].tolist() == [5.0, 1.0, 2.0]
 
     def test_width(self):
         s = HourlySeries(np.arange(10, dtype=float))
-        assert build_windows(s, 2).width == 5
+        assert build_windows(s, 2).shape[1] == 5
 
     def test_center_column_is_source(self, rng):
         s = HourlySeries(rng.normal(size=30))
         wm = build_windows(s, 3)
-        assert wm.windows[:, 3].tolist() == list(s.values)
+        assert wm[:, 3].tolist() == list(s.values)
 
     def test_invalid_sash(self):
         s = HourlySeries(np.arange(5, dtype=float))
@@ -48,7 +48,7 @@ class TestWindows:
         if sash < 1:
             return
         wm = build_windows(s, sash)
-        assert wm.windows.tolist() == brute_window_matrix(list(s.values), sash)
+        assert wm.tolist() == brute_window_matrix(list(s.values), sash)
 
 
 class TestWindowPools:
@@ -61,7 +61,7 @@ class TestWindowPools:
         s = HourlySeries(np.array([2.0, 7.0, 1.0, 8.0, 2.0, 8.0]))
         wm = build_windows(s, 1)
         pools = find_window_pools(wm, 3, include_self=True)
-        bi, bd = brute_pools(wm.windows.tolist(), 3, True)
+        bi, bd = brute_pools(wm.tolist(), 3, True)
         assert pools.indices.tolist() == bi
         np.testing.assert_allclose(pools.distances, bd, rtol=1e-9)
 
@@ -87,15 +87,15 @@ class TestWindowPoolsAcrossBlocks:
     @pytest.fixture(scope="class")
     def windows(self):
         wm = build_windows(solar_like(1500, 11), 2)
-        assert spans_blocks_with_nights(wm.windows)
+        assert spans_blocks_with_nights(wm)
         return wm
 
     @pytest.mark.parametrize("include_self", [True, False])
     @pytest.mark.parametrize("case", POOL_CASES)
     def test_matches_stable_sort(self, windows, case, include_self):
-        p = pool_size(case, windows.windows, include_self)
+        p = pool_size(case, windows, include_self)
         pools = find_window_pools(windows, p, include_self)
-        ref_idx, ref_dist = stable_sort_pools(windows.windows, p, include_self)
+        ref_idx, ref_dist = stable_sort_pools(windows, p, include_self)
         assert np.array_equal(pools.indices, ref_idx)
         assert pools.distances.tobytes() == ref_dist.tobytes()
 
@@ -119,6 +119,13 @@ class TestGenerate:
         s = HourlySeries(rng.normal(size=60))
         out = generate_sbb(s, 2, 6, seed=3, kernel=harmonic_kernel(6))
         assert set(out.values).issubset(set(s.values))
+
+    def test_kernel_must_match_the_pool_size(self, rng):
+        s = HourlySeries(rng.normal(size=40))
+        with pytest.raises(ConfigError, match="kernel has 3 ranks but the pools hold 5"):
+            generate_sbb(s, 2, 5, kernel=harmonic_kernel(3))
+        with pytest.raises(ConfigError, match="kernel has 4 ranks but the pools hold 5"):
+            generate_sbb_batch(s, 2, 5, B=2, master_seed=1, kernel=uniform_kernel(4))
 
 
 class TestBatch:

@@ -166,3 +166,29 @@ class TestSummaryTable:
             "Mean", "Standard Dev.", "Coeff. of Var.", "Autocorr. Lag: 24",
         ]
         assert all("original" in entry for entry in table.values())
+
+    @pytest.mark.parametrize("source", ["solar", "wind", "mixed"])
+    def test_columns_equal_a_loop_over_the_members(self, source, request, rng):
+        """The axis-1 statistics give the bytes of one 1-D computation per member."""
+        s = (HourlySeries(rng.normal(0, 1, size=500) * 10.0 ** rng.integers(-3, 6, size=500)) if source == "mixed"
+             else request.getfixturevalue(f"{source}_fixture"))
+        ens = generate_sbb_batch(s, 2, 5, B=25, master_seed=3)
+        per_member = [loop_summary(row, 24) for row in ens.values]
+        for b, row in enumerate(ens.values):
+            assert list(summarize(row).as_dict().values()) == per_member[b]
+        table = ensemble_summary_table(ens, s, autocorr_lag=24)
+        for i, entry in enumerate(table.values()):
+            col = np.array([m[i] for m in per_member])
+            q1, med, q3 = np.percentile(col, [25, 50, 75])
+            expected = [col.mean(), col.std(ddof=1), col.min(), q1, med, q3, col.max(), loop_summary(s.values, 24)[i]]
+            assert list(entry.values()) == [float(v) for v in expected]
+
+
+def loop_summary(vals: np.ndarray, lag: int) -> list[float]:
+    """min, quartiles, max, mean, std, coefficient of variation and lag autocorrelation of one series."""
+    q1, med, q3 = np.percentile(vals, [25, 50, 75])
+    mean, std = float(vals.mean()), float(vals.std(ddof=1))
+    x = vals - vals.mean()
+    acf = float(x[:-lag] @ x[lag:]) / float(x @ x) if float(x @ x) else 0.0
+    return [float(vals.min()), float(q1), float(med), float(q3), float(vals.max()),
+            mean, std, std / mean if mean != 0 else 0.0, acf]
