@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -10,9 +11,14 @@ from typing import Any
 import numpy as np
 
 from .errors import ChecksumMismatch, ConfigError, IOErrorSS, LengthMismatch, MalformedManifest, ValidationError
-from .series import HourlySeries, load_csv, write_csv
+from .series import HourlySeries, _bare_body, _bare_column, _format_cells, _read_text, load_csv
 
 MANIFEST_NAME = "manifest.json"
+
+# members are formatted in runs of about this many values: one np.unique per
+# run finds the values the run shares, and a save's temporaries stay at a few
+# MB, where one over a whole (2000, 720) ensemble would take about 35 MB
+_RUN_VALUES = 1 << 16
 
 # recorded in every manifest in place of a per-series seed list
 CHILD_SEED_RULE = "series b is drawn from numpy.random.default_rng([master_seed, b])"
@@ -71,18 +77,22 @@ class Ensemble:
         """Write one CSV per member plus a JSON manifest with each member's sha256.
 
         Members are bootstrap draws from one source, so they share most of
-        their values; each distinct value is formatted once per save.
+        their values: rows are formatted in runs of about ``_RUN_VALUES``
+        values, and each distinct value once per save.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        width = max(4, len(str(len(self) - 1)))
-        names = [f"series_{b:0{width}d}.csv" for b in range(len(self))]
+        B, n = self.values.shape
+        width = max(4, len(str(B - 1)))
+        names = [f"series_{b:0{width}d}.csv" for b in range(B)]
         checksums = []
         reprs: dict[int, str] = {}
-        for name, row in zip(names, self.values):
-            member = HourlySeries(row)
-            write_csv(member, directory / name, reprs=reprs)
-            checksums.append(member.checksum())
+        step = max(1, _RUN_VALUES // n)
+        for start in range(0, B, step):
+            rows = self.values[start : start + step]
+            for name, row, cells in zip(names[start : start + step], rows, _format_cells(rows, reprs).tolist()):
+                (directory / name).write_bytes(_bare_body(cells))
+                checksums.append(hashlib.sha256(row.tobytes()).hexdigest())
         manifest = {
             "method": self.method,
             "config": self.config,
@@ -100,20 +110,27 @@ class Ensemble:
     @classmethod
     def load(cls, directory: str | Path) -> "Ensemble":
         """Read a saved ensemble, checking every member against its manifest
-        checksum and against the length of the first."""
+        checksum and against the length of the first.
+
+        A member that is not a bare value column of finite floats is read by
+        ``load_csv``, which reports what is wrong with it.
+        """
         directory = Path(directory)
         manifest = _read_manifest(directory)
         files = manifest["series_files"]
         values = np.empty((len(files), 0))
         for b, (name, expected) in enumerate(zip(files, manifest["series_checksums"])):
-            member = load_csv(directory / name)
-            if member.checksum() != expected:
-                raise ChecksumMismatch(f"{directory / name} does not match its manifest checksum")
+            path = directory / name
+            row = _bare_column(_read_text(path))
+            if row is None:
+                row = load_csv(path).values
+            if hashlib.sha256(row.tobytes()).hexdigest() != expected:
+                raise ChecksumMismatch(f"{path} does not match its manifest checksum")
             if b == 0:
-                values = np.empty((len(files), len(member)))
-            elif len(member) != values.shape[1]:
-                raise LengthMismatch(f"{directory / name} has {len(member)} values, {files[0]} has {values.shape[1]}")
-            values[b] = member.values
+                values = np.empty((len(files), row.size))
+            elif row.size != values.shape[1]:
+                raise LengthMismatch(f"{path} has {row.size} values, {files[0]} has {values.shape[1]}")
+            values[b] = row
         return cls(
             values=values,
             method=manifest["method"],
@@ -149,6 +166,12 @@ def _read_manifest(directory: Path) -> dict[str, Any]:
     files, checksums = manifest["series_files"], manifest["series_checksums"]
     if not all(isinstance(x, str) for x in files + checksums) or len(files) != len(checksums):
         raise MalformedManifest(f"{path}: series_files and series_checksums must be equal-length lists of strings")
+    if not files:
+        raise MalformedManifest(f"{path}: series_files is empty")
+    for name in files:
+        # a member is read as directory / name, so the name must not leave the directory
+        if name in ("", ".", "..") or Path(name).name != name or any(c in name for c in "\\\0"):
+            raise MalformedManifest(f"{path}: series_files entry {name!r} is not a file name")
     return manifest
 
 

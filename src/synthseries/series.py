@@ -124,33 +124,15 @@ def load_csv(
     :class:`UnparseableValue` with the offending 1-based data row number; a
     file that is not UTF-8 raises :class:`UndecodableFile`.
 
-    The file is read once. A bare value column (no delimiter, quote or NUL
-    anywhere) is split into lines at CR, LF or CRLF, as ``csv.reader``
-    does, and converted with one ``float`` map; only when that fails or
-    yields a non-finite value is it scanned row by row for the error.
-    Anything else goes through ``csv.reader``.
+    The file is read once. A bare value column is converted in one pass
+    (see ``_bare_column``); anything else, and any bare column that pass
+    refuses, goes through ``csv.reader``, which reports the offending row.
     """
     path = Path(path)
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise UndecodableFile(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    text = _read_text(path)
+    values = _bare_column(text, value_column) if timestamp_column is None else None
     stamps: list[str] = []
-    if timestamp_column is None and not any(c in text for c in _CSV_SYNTAX):
-        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        if lines[-1] == "":  # the final line break ends a row, it does not start one
-            lines.pop()
-        if not lines:
-            raise EmptyFile(str(path))
-        _column(path, [lines[0].strip()] if lines[0] else [], value_column)
-        cells = lines[1:]
-        try:
-            values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
-        except ValueError:
-            values = None
-        if values is None or not np.isfinite(values).all():
-            values = np.array([_parse_value(rownum, cell) for rownum, cell in enumerate(cells, start=1)])
-    else:
+    if values is None:
         reader = csv.reader(io.StringIO(text, newline=""))
         header = next(reader, None)
         if header is None:
@@ -176,6 +158,38 @@ def load_csv(
     )
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UndecodableFile(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _bare_column(text: str, value_column: str = "value") -> np.ndarray | None:
+    """The values of a file that is one bare column under a ``value_column``
+    header, with at least one row and every cell a finite float; None for any
+    other text, which ``csv.reader`` then reads and reports on.
+
+    A bare column has no delimiter, quote or NUL anywhere. It is split into
+    lines at CR, LF or CRLF, as ``csv.reader`` splits it, and its cells are
+    converted with one ``float`` map.
+    """
+    if any(c in text for c in _CSV_SYNTAX):
+        return None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":  # the final line break ends a row, it does not start one
+        lines.pop()
+    # an empty first line is no header for csv.reader, not an empty name
+    if len(lines) < 2 or not lines[0] or lines[0].strip() != value_column:
+        return None
+    cells = lines[1:]
+    try:
+        values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
 def _column(path: Path, header: list[str], name: str) -> int:
     if name not in header:
         raise MissingColumn(f"{path}: no column {name!r} in {header}")
@@ -195,30 +209,41 @@ def _parse_value(rownum: int, cell: str) -> float:
     return v
 
 
-def write_csv(series: HourlySeries, path: str | Path, *, reprs: dict[int, str] | None = None) -> None:
+def write_csv(series: HourlySeries, path: str | Path) -> None:
     """Write ``timestamp,value`` (or bare ``value``) at full float precision.
 
     The file is built as one string and written in one call: the bytes
-    ``csv.writer`` writes with ``repr(float(v))`` cells and CRLF rows. Each distinct value is formatted
-    once, in ``reprs``, keyed by its float64 bit pattern (so -0.0 and 0.0
-    stay apart); pass one dict to several calls to share that work.
+    ``csv.writer`` writes with ``repr(float(v))`` cells and CRLF rows.
     """
-    if reprs is None:
-        reprs = {}
-    bits, where = np.unique(series.values.view(np.uint64), return_inverse=True)
-    text = [
-        reprs.get(b) or reprs.setdefault(b, repr(v))
-        for b, v in zip(bits.tolist(), bits.view(np.float64).tolist())
-    ]
-    cells = np.array(text, dtype=object)[where].tolist()
+    cells = _format_cells(series.values, {}).tolist()
     if series.timestamps is not None:
         # timestamps are free text that may need quoting
         buf = io.StringIO(newline="")
         csv.writer(buf).writerows([("timestamp", "value"), *zip(series.timestamps, cells)])
-        body = buf.getvalue()
+        body = buf.getvalue().encode("utf-8")
     else:
-        body = "\r\n".join(["value", *cells, ""])
+        body = _bare_body(cells)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(body)
+    path.write_bytes(body)
+
+
+def _format_cells(values: np.ndarray, reprs: dict[int, str]) -> np.ndarray:
+    """``repr(float(v))`` of every value, as an object array of ``values``' shape.
+
+    Each distinct value is formatted once, in ``reprs``, keyed by its float64
+    bit pattern (so -0.0 and 0.0 stay apart); pass one dict to several calls
+    to share that work.
+    """
+    bits, where = np.unique(values.view(np.uint64).ravel(), return_inverse=True)
+    text = [
+        reprs.get(b) or reprs.setdefault(b, repr(v))
+        for b, v in zip(bits.tolist(), bits.view(np.float64).tolist())
+    ]
+    return np.array(text, dtype=object)[where.reshape(values.shape)]
+
+
+def _bare_body(cells: list[str]) -> bytes:
+    """A bare value column as ``csv.writer`` writes it: a ``value`` header,
+    then one CRLF-terminated row per cell."""
+    return "\r\n".join(["value", *cells, ""]).encode("utf-8")

@@ -35,6 +35,13 @@ def assert_nothing_written(out: Path) -> None:
     assert not out.exists() or not any(out.iterdir())
 
 
+def empty_series_files(ensemble_dir: Path) -> None:
+    """Leave a saved ensemble's manifest listing no members at all."""
+    path = ensemble_dir / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**manifest, "series_files": [], "series_checksums": []}), encoding="utf-8")
+
+
 class TestGenerate:
     def test_deterministic_reruns(self, tmp_path):
         out = tmp_path / "ens"
@@ -267,6 +274,14 @@ class TestVre:
         assert "series_0001.csv" in capsys.readouterr().err
         assert_nothing_written(out)
 
+    def test_ensemble_without_members_is_io_error_with_no_outputs(self, tmp_path, capsys):
+        solar_dir, wind_dir = self._ensembles(tmp_path)
+        empty_series_files(wind_dir)
+        code, out = self._vre_with_ensembles(tmp_path, solar_dir, wind_dir)
+        assert code == EXIT_IO
+        assert "series_files is empty" in capsys.readouterr().err
+        assert_nothing_written(out)
+
     @pytest.mark.parametrize("setting, message", [
         ({"shortfall_fraction": float("nan")}, "'shortfall_fraction' must be a finite number"),
         ({"weights": {"solar": float("nan"), "wind": 2}}, "'solar' must be a finite number"),
@@ -361,6 +376,13 @@ class TestExitCodes:
         (ens / "manifest.json").write_text(json.dumps(manifest))
         assert self._analyze(tmp_path, ens) == EXIT_IO
         assert "series_files" in capsys.readouterr().err
+
+    def test_manifest_without_members_is_io_error_with_no_outputs(self, tmp_path, capsys):
+        ens = self._generate(tmp_path)
+        empty_series_files(ens)
+        assert self._analyze(tmp_path, ens) == EXIT_IO
+        assert "series_files is empty" in capsys.readouterr().err
+        assert_nothing_written(tmp_path / "analysis")
 
     def test_edited_member_is_validation_error(self, tmp_path, capsys):
         ens = self._generate(tmp_path)

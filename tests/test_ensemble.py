@@ -1,16 +1,26 @@
 from __future__ import annotations
 
 import json
+import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from synthseries.ensemble import Ensemble, child_rng, child_seed
-from synthseries.errors import ChecksumMismatch, ConfigError, IOErrorSS, LengthMismatch, MalformedManifest
+from synthseries.ensemble import _RUN_VALUES, Ensemble, child_rng, child_seed
+from synthseries.errors import (
+    ChecksumMismatch,
+    ConfigError,
+    IOErrorSS,
+    LengthMismatch,
+    MalformedManifest,
+    SynthSeriesError,
+)
 from synthseries.kernels import uniform_kernel
 from synthseries.sbb import build_windows, find_window_pools, generate_sbb_batch
 from synthseries.series import HourlySeries, load_csv
 
+from . import oracles
 from .conftest import shorten_member
 
 
@@ -100,6 +110,7 @@ def test_members_are_the_rows_of_one_read_only_matrix(tmp_path, rng):
     lambda m: m.pop("series_files"),
     lambda m: m.update(series_checksums=m["series_checksums"][:1]),
     lambda m: m.update(master_seed="five"),
+    lambda m: m.update(series_files=[], series_checksums=[]),
 ])
 def test_load_rejects_a_malformed_manifest(tmp_path, rng, edit):
     s = HourlySeries(np.abs(rng.normal(100, 10, size=60)))
@@ -130,3 +141,119 @@ def test_rerun_overwrites_identically(tmp_path, rng):
     generate_sbb_batch(s, 2, 3, B=2, master_seed=5).save(tmp_path / "ens")
     second = {p.name: p.read_bytes() for p in sorted((tmp_path / "ens").iterdir())}
     assert first == second
+
+
+def _matrix_ensemble(values) -> Ensemble:
+    return Ensemble(values=np.asarray(values, dtype=float), method="sbb", config={}, master_seed=0,
+                    source_checksum="x")
+
+
+def _draws(rng, B, n) -> np.ndarray:
+    """B bootstrap draws of one n-hour source: a third zeros, the rest rounded
+    to 3 decimals, so that members share most of their values."""
+    source = np.round(np.abs(rng.normal(100, 30, size=n)), 3)
+    source[: n // 3] = 0.0
+    return source[rng.integers(0, n, size=(B, n))]
+
+
+def _edit_manifest(directory, **fields) -> None:
+    path = directory / "manifest.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
+
+
+class TestMemberCsv:
+    """Members are saved as runs of rows of the matrix and loaded into its rows;
+    each file holds the bytes csv.writer writes, and a file the bulk reader
+    refuses fails as load_csv fails on it."""
+
+    RUN_ROWS = _RUN_VALUES // 720
+
+    @pytest.mark.parametrize("shape", [
+        (RUN_ROWS + 2, 720),  # across a run boundary
+        (2, _RUN_VALUES + 3),  # a member longer than one run
+        (1, 50),
+    ])
+    def test_members_are_csv_writer_bytes(self, tmp_path, rng, shape):
+        values = _draws(rng, *shape)
+        values[0, :3] = [5e-324, 1e22, -2.5]
+        values[-1, -1] = 0.987654321  # first seen in the last member
+        ens = _matrix_ensemble(values)
+        ens.save(tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        for name, row, checksum in zip(manifest["series_files"], values, manifest["series_checksums"], strict=True):
+            assert (tmp_path / name).read_bytes() == oracles.csv_writer_text(row.tolist()).encode()
+            assert checksum == HourlySeries(row).checksum()
+        assert Ensemble.load(tmp_path).values.tobytes() == values.tobytes()
+
+    def test_signed_zeros_stay_apart_across_members_and_runs(self, tmp_path, rng):
+        values = _draws(rng, self.RUN_ROWS + 1, 720)
+        values[0, 0], values[1, 0], values[-1, 0] = 0.0, -0.0, -0.0
+        values[0, 1], values[-1, 1] = -0.0, 0.0
+        _matrix_ensemble(values).save(tmp_path)
+        files = json.loads((tmp_path / "manifest.json").read_text())["series_files"]
+        for name, row in zip((files[0], files[1], files[-1]), values[[0, 1, -1]]):
+            assert (tmp_path / name).read_bytes() == oracles.csv_writer_text(row.tolist()).encode()
+        back = Ensemble.load(tmp_path).values
+        assert back.tobytes() == values.tobytes()
+        assert np.signbit(back[[0, 1, -1], 0]).tolist() == [False, True, True]
+
+    @pytest.mark.parametrize("body", [
+        b"value\n2.5\n\n1.5\n",  # a blank cell
+        b"value\n2.5\nnan\n",
+        b"value\r2.5\r1.5\r",  # CR-only line endings: the member as saved
+        b"value\n",  # a header only
+        b"timestamp,value\nt0,2.5\nt1,1.5\n",  # CSV syntax: the member as saved
+        b"values\n2.5\n1.5\n",
+        b"value\n2.5\n\xff\n",
+    ])
+    def test_member_is_read_as_load_csv_reads_it(self, tmp_path, body):
+        _matrix_ensemble([[1.5, 2.5], [2.5, 1.5]]).save(tmp_path)
+        member = tmp_path / "series_0001.csv"
+        member.write_bytes(body)
+        try:
+            expected = load_csv(member).values.tobytes()
+        except SynthSeriesError as exc:
+            expected = type(exc), getattr(exc, "row", None), str(exc)
+        try:
+            got = Ensemble.load(tmp_path).values[1].tobytes()
+        except SynthSeriesError as exc:
+            got = type(exc), getattr(exc, "row", None), str(exc)
+        assert got == expected
+
+    # tracemalloc peaks of save, measured on numpy 2.4.6: 2.99 MiB at
+    # (2000, 720) and 3.31 MiB at (100, 8760), from the run temporaries. One
+    # np.unique over the whole matrix would hold about 35 MB.
+    @pytest.mark.parametrize("shape", [(2000, 720), (100, 8760)])
+    def test_save_memory_stays_bounded_by_one_run(self, tmp_path, rng, shape):
+        ens = _matrix_ensemble(_draws(rng, *shape))
+        tracemalloc.start()
+        try:
+            ens.save(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("entry", ["absolute", "../outside.csv", "sub/series_0000.csv"])
+def test_series_files_entry_outside_the_directory_is_refused(tmp_path, entry):
+    """Each entry names a real file with the right checksum, so only its
+    place outside the ensemble directory is wrong."""
+    ens = tmp_path / "ens"
+    _matrix_ensemble([[1.0, 2.0], [3.0, 4.0]]).save(ens)
+    shutil.copy(ens / "series_0000.csv", tmp_path / "outside.csv")
+    (ens / "sub").mkdir()
+    shutil.copy(ens / "series_0000.csv", ens / "sub" / "series_0000.csv")
+    name = str(tmp_path / "outside.csv") if entry == "absolute" else entry
+    _edit_manifest(ens, series_files=[name, "series_0001.csv"])
+    with pytest.raises(MalformedManifest, match="series_files entry") as exc:
+        Ensemble.load(ens)
+    assert repr(name) in str(exc.value)
+
+
+@pytest.mark.parametrize("entry", ["", ".", "..", "sub\\x.csv", "x\x00.csv"])
+def test_series_files_entry_that_is_no_file_name_is_refused(tmp_path, entry):
+    _matrix_ensemble([[1.0, 2.0]]).save(tmp_path)
+    _edit_manifest(tmp_path, series_files=[entry])
+    with pytest.raises(MalformedManifest, match="series_files entry"):
+        Ensemble.load(tmp_path)

@@ -209,15 +209,6 @@ class TestCsvCodec:
             write_csv(HourlySeries(np.array(values), timestamps=stamps), p)
             assert p.read_bytes() == oracles.csv_writer_text(values, stamps).encode()
 
-    def test_shared_format_cache_keeps_signed_zeros_apart(self, tmp_path):
-        reprs: dict[int, str] = {}
-        members = [[0.0, -0.0, 1.5], [-0.0, 0.0, 1.5, 2.5], [2.5, -0.0]]
-        for b, values in enumerate(members):
-            write_csv(HourlySeries(np.array(values)), tmp_path / f"{b}.csv", reprs=reprs)
-        for b, values in enumerate(members):
-            assert (tmp_path / f"{b}.csv").read_bytes() == oracles.csv_writer_text(values).encode()
-        assert sorted(reprs.values()) == ["-0.0", "0.0", "1.5", "2.5"]
-
     @pytest.mark.parametrize("text, kwargs", [
         ("value\n1.5\n-0.0\n2e-3\n", {}),
         ("value\r\n1.5\r\n-0.0\r\n2e-3\r\n", {}),
