@@ -309,7 +309,9 @@ def cmd_vre(cfg: dict[str, Any], threads: int) -> int:
             _write_json,
             {
                 "weights": w,
-                "shortfall_histogram": {str(k): v for k, v in hist.items()},
+                # int keys: sort_keys orders the days as numbers, before
+                # json writes them as strings ("5" before "10")
+                "shortfall_histogram": hist,
                 "supplied": [r.percent_supplied for r in results],
                 "curtailed": [r.percent_curtailed for r in results],
             },

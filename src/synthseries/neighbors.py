@@ -5,23 +5,35 @@ only in the embedding offsets, the default kernel and their error classes:
 
 Distances are Euclidean, computed blockwise so an 8760-row year never
 materializes the full n x n matrix at once, and bit-identical to scipy's
-``cdist``: per pair, the
-squared column differences ``(a_j - b_j) * (a_j - b_j)`` are added one
-column at a time, in column order, and the sum goes through ``np.sqrt``.
-That is the order of scipy's euclidean loop, and numpy never fuses the
-separate multiply and add, so the bytes do not depend on how numpy was
-built. The usual faster forms change the bytes, and with them the pools:
-the BLAS expansion ||a||^2 + ||b||^2 - 2 a.b rounds differently, and a
-``.sum(axis=-1)`` over contiguous rows adds pairwise from 8 columns on
-(the 9-column windows of sash 4).
+``cdist``: per pair, the squared column differences ``(a_j - b_j) * (a_j -
+b_j)`` are added one column at a time, in column order, and the sum goes
+through ``np.sqrt``. That is the order of scipy's euclidean loop, and numpy
+never fuses the separate multiply and add, so the bytes do not depend on how
+numpy was built. The usual faster forms change the bytes, and with them the
+pools: the BLAS expansion ||a||^2 + ||b||^2 - 2 a.b rounds differently, a
+``.sum(axis=-1)`` over contiguous rows adds pairwise from 8 columns on (the
+9-column windows of sash 4), and the running sum of matrix-profile
+algorithms adds in another order.
+
+An embedding repeats its terms: column j of row i is column j - 1 of row
+i + 1 (mod n), so the term of column j for rows (i, t) is the term of
+column j - 1 for rows (i + 1, t + 1). For each run of columns so shifted
+(all w columns of an ``embed``; one column each in an arbitrary matrix) and
+each tile of consecutive rows, the squared differences of the run's first
+column are computed once, into one table, and every column of the run reads
+its terms from that table as a shifted view. Each term keeps its two
+operands (up to the sign of a zero, which squaring drops), its subtract and
+multiply, and its place in the column-order sum, so the bytes stay those of
+``cdist``.
 
 A row's pool is the first k of its candidates ordered by (distance, row
 index), i.e. the first k entries of a stable sort of the row, without
 sorting the row. Equal rows (the all-zero windows of solar nights, about
 a third of a solar year) have byte-identical distance rows and so one
 shared candidate order; only where the row itself sits in it differs.
-The search therefore runs once per distinct row (``np.unique``), against
-all n rows, itself included, and selects one candidate more than a pool
+The search therefore runs once per distinct row (``np.unique``, taken in
+order of first appearance, from that first row), against all n rows,
+itself included, and selects one candidate more than a pool
 holds when the row itself is to be left out.
 
 ``argpartition`` finds the boundary distance of that selection. When
@@ -49,8 +61,10 @@ from .series import HourlySeries
 # distinct rows per distance block; a block holds a few (rows, n) temporaries
 # (the distances, the partition, the tie-closure masks), so this bounds peak memory
 _BLOCK_ROWS = 128
-# block rows per distance pass; a tile and its scratch stay in cache for all
-# the columns (at n = 8760, 4 to 16 rows were alike and whole blocks slower)
+# consecutive rows per distance pass: the pass builds one table of squared
+# differences per run of shifted columns, _TILE_ROWS + run width - 1 rows tall,
+# and adds the run's columns from it; at n = 8760, tiles of 16 to 64 rows
+# were slower, as was splitting the candidate axis
 _TILE_ROWS = 8
 
 
@@ -67,26 +81,65 @@ def embed(source: HourlySeries, offsets: np.ndarray) -> np.ndarray:
     return source.values[(np.arange(n)[:, None] + offsets) % n]
 
 
-def _euclidean(rows: np.ndarray, columns: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """``out[i, t]`` = the distance from ``rows[i]`` to ``columns[:, t]``, as ``cdist`` sums it.
+def _distinct_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first matrix row of each distinct row, increasing, and per row the
+    position of its distinct row among them.
 
-    ``columns`` is the transposed matrix, C-contiguous; ``scratch`` holds
-    ``_TILE_ROWS`` rows as long as ``out``'s.
+    In order of first appearance, consecutive distinct rows are mostly
+    consecutive matrix rows, which ``_euclidean`` tiles together.
     """
-    if not columns.shape[0]:
+    _, first, inverse = np.unique(m, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse.reshape(m.shape[0])]
+
+
+def _shift_runs(m: np.ndarray) -> list[tuple[int, int]]:
+    """The maximal runs ``(b, L)`` of columns b .. b + L - 1 of ``m`` in which
+    each column equals the one before it moved up a row, ``np.roll(m[:, j - 1], -1)``."""
+    if not m.shape[1]:
+        return []
+    shifted = np.all(m[:, 1:] == np.roll(m[:, :-1], -1, axis=0), axis=0)
+    starts = [0, *(np.flatnonzero(~shifted) + 1).tolist(), m.shape[1]]
+    return [(b, e - b) for b, e in zip(starts, starts[1:])]
+
+
+def _euclidean(
+    wrapped: np.ndarray, runs: list[tuple[int, int]], rows: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> None:
+    """``out[r, t]`` = the distance from matrix row ``rows[r]`` to row t, as ``cdist`` sums it.
+
+    ``wrapped[j, v]`` is ``m[v % n, j]`` for v < n + w - 1, C-contiguous;
+    ``runs`` are ``_shift_runs(m)``, ``rows`` increase, and ``scratch`` holds
+    a table for ``_TILE_ROWS`` rows and the widest run.
+    """
+    n = out.shape[1]
+    if not runs:
         out.fill(0.0)
         return
-    for r in range(0, rows.shape[0], _TILE_ROWS):
-        acc = out[r : r + _TILE_ROWS]
-        tile = rows[r : r + _TILE_ROWS]
-        sq = scratch[: acc.shape[0]]
-        np.subtract(tile[:, :1], columns[0], out=acc)
-        np.multiply(acc, acc, out=acc)
-        for j in range(1, columns.shape[0]):
-            np.subtract(tile[:, j : j + 1], columns[j], out=sq)
+    r = 0
+    while r < rows.size:
+        # the longest stretch of consecutive matrix rows, up to _TILE_ROWS
+        i = rows[r]
+        span = rows[r : r + _TILE_ROWS] - i
+        t = int(np.count_nonzero(span == np.arange(span.size)))
+        acc = out[r : r + t]
+        for b, width in runs:
+            # sq[u, v] = (m[i + u, b] - m[v, b])**2, all indices mod n; the term
+            # of column b + q for rows (i + p, v) is sq[p + q, v + q]
+            h, wide = t + width - 1, n + width - 1
+            sq = scratch[: h * wide].reshape(h, wide)
+            np.subtract(wrapped[b, i : i + h, None], wrapped[b, :wide], out=sq)
             np.multiply(sq, sq, out=sq)
-            np.add(acc, sq, out=acc)
+            for q in range(width):
+                term = sq[q : q + t, q : q + n]
+                if b + q:
+                    np.add(acc, term, out=acc)
+                else:
+                    np.copyto(acc, term)
         np.sqrt(acc, out=acc)
+        r += t
 
 
 def nearest_rows(
@@ -108,8 +161,7 @@ def nearest_rows(
     if k < 1 or k > limit:
         raise too_large(f"k={k} out of range [1, {limit}] for {n} rows (include_self={include_self})")
 
-    distinct, inverse = np.unique(m, axis=0, return_inverse=True)
-    inverse = inverse.reshape(n)
+    reps, inverse = _distinct_rows(m)
     # the original rows of distinct rows [a, b) are members[first[a]:first[b]]
     members = np.argsort(inverse)
     first = np.concatenate(([0], np.cumsum(np.bincount(inverse))))
@@ -121,14 +173,17 @@ def nearest_rows(
 
     indices = np.empty((n, k), dtype=np.intp)
     distances = np.empty((n, k), dtype=float)
-    columns = np.ascontiguousarray(m.T)
-    block = np.empty((min(_BLOCK_ROWS, distinct.shape[0]), n))
-    scratch = np.empty((_TILE_ROWS, n))
-    for start in range(0, distinct.shape[0], _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, distinct.shape[0])
+    w = m.shape[1]
+    runs = _shift_runs(m)
+    wrapped = np.ascontiguousarray(m[np.arange(n + w - 1) % n].T)
+    widest = max((width for _, width in runs), default=1)
+    scratch = np.empty((_TILE_ROWS + widest - 1) * (n + widest - 1))
+    block = np.empty((min(_BLOCK_ROWS, reps.size), n))
+    for start in range(0, reps.size, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, reps.size)
         rows = np.arange(stop - start)
         d = block[: stop - start]
-        _euclidean(distinct[start:stop], columns, d, scratch)
+        _euclidean(wrapped, runs, reps[start:stop], d, scratch)
         cols = np.argpartition(d, kk - 1, axis=1)[:, :kk].copy()
         kth = d[rows, cols[:, kk - 1]][:, None]
         # rows with more than kk candidates within the kk-th distance, where

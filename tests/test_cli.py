@@ -6,12 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synthseries
 from synthseries.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from synthseries.ensemble import Ensemble
+from synthseries.series import HourlySeries, write_csv
 
 from .conftest import DATA_DIR, shorten_member
 
@@ -249,6 +252,36 @@ class TestVre:
             })
             assert main(["generate", cfg]) == EXIT_OK
         return tmp_path / "ens_solar", tmp_path / "ens_wind"
+
+    def test_histogram_days_in_numeric_order(self, tmp_path):
+        # load 1 and no nuclear: a solar member that is 0 for its first d days
+        # and 2 after them falls short on exactly d days
+        days = 20
+        shortfall = (2, 9, 10, 11)
+        solar = np.array([np.repeat(np.arange(days) >= d, 24) * 2.0 for d in shortfall])
+        for name, values in [("solar", solar), ("wind", np.zeros((1, 24 * days)))]:
+            Ensemble(values, "sbb", {}, 1, "").save(tmp_path / f"ens_{name}")
+        for name, value in [("flat", 1.0), ("zero", 0.0)]:
+            write_csv(HourlySeries(np.full(24 * days, value)), tmp_path / f"{name}.csv")
+        flat, zero = str(tmp_path / "flat.csv"), str(tmp_path / "zero.csv")
+        out = tmp_path / "vre"
+        cfg = write_config(tmp_path, {
+            "solar": flat, "wind": flat, "nuclear": zero, "load": flat,
+            "weights": {"wind": 1, "solar": 1},
+            "ensembles": {
+                "solar_dir": str(tmp_path / "ens_solar"), "wind_dir": str(tmp_path / "ens_wind"),
+                "pairing_seed": 7, "pairs": 40,
+            },
+            "output_dir": str(out),
+        })
+        assert main(["vre", cfg]) == EXIT_OK
+        report = json.loads((out / "ensemble_adequacy.json").read_text())
+        assert list(report["shortfall_histogram"]) == [str(d) for d in shortfall]
+        assert sum(report["shortfall_histogram"].values()) == 40
+        assert list(report) == sorted(report)
+        assert list(report["weights"]) == ["solar", "wind"]
+        rows = (out / "shortfall_histogram.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [str(d) for d in shortfall]
 
     def test_missing_ensemble_leaves_no_outputs(self, tmp_path):
         _, wind_dir = self._ensembles(tmp_path)

@@ -7,8 +7,10 @@ distance byte at year length fails here. The matrices after them put
 duplicate rows where the search, which runs once per distinct row, could
 get a row's own place in the shared order wrong. Integer-valued matrices
 cannot show the order in which a distance adds its columns, so the float
-matrices at the end, up to 12 columns wide and of mixed magnitudes, check
-the distance bytes against ``cdist`` through the oracle.
+matrices, up to 12 columns wide and of mixed magnitudes, check the distance
+bytes against ``cdist`` through the oracle. Their columns are almost never
+shifted copies of one another, so they take one table per column; the
+embeddings after them take the shared tables of shifted columns.
 """
 
 from __future__ import annotations
@@ -160,6 +162,58 @@ class TestFloatMatrices:
     def test_case_study_pools_on_the_test_data(self, request, source, embed, k):
         series = request.getfixturevalue(f"{source}_fixture")
         assert_stable_sort_pools(embed(series), k, True)
+
+
+class TestEmbeddings:
+    """Embeddings take the kernel's shared tables: every column of a run of
+    shifted columns reads its squared differences from the table of the
+    run's first column. Consecutive offsets from anywhere in [-w, 0] give one
+    run of width w; an unrelated column in the middle or at the end breaks it.
+    With n <= w the wrapped table repeats the column more than once."""
+
+    ALPHABET = np.array([0.0, -0.0, 1.0, 2.0, 5.0])
+
+    @staticmethod
+    def values(rng, n, alphabet):
+        if alphabet:
+            return rng.choice(TestEmbeddings.ALPHABET, size=n)
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-3, 7, size=n)
+
+    @given(
+        n=st.integers(1, 40),
+        width=st.integers(1, 12),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        alphabet=st.booleans(),
+        extra=st.sampled_from(["none", "middle", "end"]),
+        include_self=st.booleans(),
+        k_fraction=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_embeddings(self, n, width, data, seed, alphabet, extra, include_self, k_fraction):
+        limit = n if include_self else n - 1
+        if limit < 1:
+            return
+        rng = np.random.default_rng(seed)
+        start = data.draw(st.integers(-width, 0), label="start")
+        m = neighbors.embed(HourlySeries(self.values(rng, n, alphabet)), np.arange(start, start + width))
+        if extra == "none":
+            assert neighbors._shift_runs(m) == [(0, width)]
+        else:
+            at = data.draw(st.integers(1, width - 1), label="at") if extra == "middle" and width > 1 else width
+            m = np.insert(m, at, self.values(rng, n, alphabet), axis=1)
+        assert_stable_sort_pools(m, 1 + int(k_fraction * (limit - 1)), include_self)
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_signed_zero_shift_extends_a_run(self, include_self):
+        # columns 1 and 2 hold -0.0 where the column before them, moved up a
+        # row, holds 0.0: equal under ==, so one run, and squaring drops the
+        # sign that reading them from column 0's table loses
+        m = neighbors.embed(HourlySeries(np.array([0.0, 3.0, 0.0, 1.5, -0.0, 2.0])), np.arange(-1, 2))
+        m[0, 1] = m[5, 2] = -0.0
+        assert np.signbit(m[0, 1]) and not np.signbit(m[1, 0])
+        assert neighbors._shift_runs(m) == [(0, 3)]
+        assert_stable_sort_pools(m, 3, include_self)
 
 
 def test_year_search_peak_memory():
