@@ -25,7 +25,7 @@ from .perturb import (
     normal_below_probability,
 )
 from .sbb import build_windows, find_window_pools, generate_sbb, generate_sbb_batch
-from .series import ChunkedSeries, HourlySeries, chunk, circular_get, load_csv, write_csv
+from .series import HourlySeries, chunk_sums, circular_get, load_csv, write_csv
 from .stats import (
     ExceedanceReport,
     SummaryStats,
@@ -42,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdequacyResult",
     "AlteredSeries",
-    "ChunkedSeries",
     "ClampPolicy",
     "Ensemble",
     "ExceedanceReport",
@@ -58,7 +57,7 @@ __all__ = [
     "build_windows",
     "child_rng",
     "child_seed",
-    "chunk",
+    "chunk_sums",
     "circular_get",
     "combine_vre",
     "direction_audit",

@@ -8,15 +8,17 @@ whose total generation falls below a stated fraction of that day's demand.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from .ensemble import Ensemble
-from .errors import ConfigError, EmptyGrid, LengthMismatch, OutOfRange, ZeroLoad
-from .series import HourlySeries, chunk
+from .errors import ConfigError, EmptyGrid, LengthMismatch, OutOfRange, ValidationError, ZeroLoad
+from .series import HourlySeries, chunk_sums
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,8 @@ def _supplied_curtailed(vre: np.ndarray, nuclear: np.ndarray, load: np.ndarray) 
     if load.sum() <= 0:
         raise ZeroLoad("load energy is zero")
     gen = nuclear + vre
+    if not np.isfinite(gen).all():
+        raise ValidationError("generation (nuclear + VRE) is not finite")
     supplied = float(np.minimum(gen, load).sum() / load.sum())
     vre_total = float(vre.sum())
     surplus = float(np.maximum(gen - load, 0.0).sum())
@@ -75,8 +79,8 @@ def adequacy(
     if not math.isfinite(shortfall_fraction):
         raise OutOfRange(f"shortfall fraction must be finite, got {shortfall_fraction}")
     gen, supplied, curtailed = _supplied_curtailed(vre.values, nuclear.values, load.values)
-    gen_daily = chunk(HourlySeries(gen), 24).sums()
-    load_daily = chunk(load, 24).sums()
+    gen_daily = chunk_sums(gen, 24)
+    load_daily = chunk_sums(load.values, 24)
     shortfall = int(np.sum(gen_daily < shortfall_fraction * load_daily))
     return AdequacyResult(supplied, curtailed, shortfall)
 
@@ -174,9 +178,6 @@ def windowed_adequacy(
 
 
 def sweep_table_csv(results: list[tuple[VreWeights, AdequacyResult]], path) -> None:
-    import csv
-    from pathlib import Path
-
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as fh:

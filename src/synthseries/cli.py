@@ -58,12 +58,16 @@ def _load_config(path: str) -> dict[str, Any]:
 
 
 def _coerce(value: Any, kind: type, key: str) -> Any:
-    """``kind(value)``; a config value that does not convert, or a float that
-    is NaN or infinite, is a config error."""
+    """``kind(value)``; a value that does not convert, a NaN or infinite
+    float, a bool, or a float with a fractional part where an integer is
+    wanted is a config error. ``int`` and ``float`` would take the last two
+    silently: ``int(2.9)`` is 2 and ``float(True)`` is 1.0."""
+    name = "an integer" if kind is int else "a number"
+    if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key!r} must be {name}, got {value!r}")
     try:
         result = kind(value)
     except (TypeError, ValueError, OverflowError):
-        name = "an integer" if kind is int else "a number"
         raise ConfigError(f"{key!r} must be {name}, got {value!r}") from None
     if kind is float and not math.isfinite(result):
         raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
@@ -120,6 +124,13 @@ def _numbers(cfg: dict[str, Any], key: str) -> list[float]:
     return values
 
 
+def _value_column(cfg: dict[str, Any]) -> str:
+    value = cfg.get("value_column", "value")
+    if not isinstance(value, str):
+        raise ConfigError(f"'value_column' must be a column name string, got {value!r}")
+    return value
+
+
 def _load_series(cfg: dict[str, Any], key: str, value_column: str) -> HourlySeries:
     path = _path(cfg, key)
     if not path.exists():
@@ -136,7 +147,7 @@ def _write_json(obj: Any, path: Path) -> None:
 
 
 def cmd_generate(cfg: dict[str, Any], threads: int) -> int:
-    value_column = cfg.get("value_column", "value")
+    value_column = _value_column(cfg)
     source = _load_series(cfg, "input", value_column)
     method = _require(cfg, "method")
     params = _section(cfg, "params")
@@ -166,7 +177,7 @@ def cmd_generate(cfg: dict[str, Any], threads: int) -> int:
 
 
 def cmd_perturb(cfg: dict[str, Any], threads: int) -> int:
-    value_column = cfg.get("value_column", "value")
+    value_column = _value_column(cfg)
     method = _require(cfg, "method")
     out_dir = _path(cfg, "output_dir")
     if method == "incremental":
@@ -224,7 +235,7 @@ def cmd_perturb(cfg: dict[str, Any], threads: int) -> int:
 
 
 def cmd_analyze(cfg: dict[str, Any], threads: int) -> int:
-    value_column = cfg.get("value_column", "value")
+    value_column = _value_column(cfg)
     ens = Ensemble.load(_path(cfg, "ensemble_dir"))
     original = _load_series(cfg, "original", value_column)
     if original.checksum() != ens.source_checksum:
@@ -261,7 +272,7 @@ def cmd_analyze(cfg: dict[str, Any], threads: int) -> int:
 
 
 def cmd_vre(cfg: dict[str, Any], threads: int) -> int:
-    value_column = cfg.get("value_column", "value")
+    value_column = _value_column(cfg)
     solar = _load_series(cfg, "solar", value_column)
     wind = _load_series(cfg, "wind", value_column)
     nuclear = _load_series(cfg, "nuclear", value_column)

@@ -1,4 +1,4 @@
-"""Hourly series data model: circular indexing, chunking, CSV in/out.
+"""Hourly series data model: circular indexing, block sums, CSV in/out.
 
 Series are immutable after construction and safe to share across threads.
 Indexing is 0-based internally; the time series is treated as circular,
@@ -62,49 +62,29 @@ class HourlySeries:
         return float(self.values.mean())
 
 
-@dataclass(frozen=True)
-class ChunkedSeries:
-    """Fixed-length sequential blocks of a series, wrap-padded at the end."""
-
-    chunks: np.ndarray  # (n_chunks, chunk_length)
-    chunk_length: int
-    source_length: int
-    wrapped: bool
-
-    def sums(self) -> np.ndarray:
-        return self.chunks.sum(axis=1)
-
-    def flatten(self) -> np.ndarray:
-        """Concatenation truncated back to the source length."""
-        return self.chunks.reshape(-1)[: self.source_length]
-
-
 def circular_get(series: HourlySeries, index: int) -> float:
     """Value at ``index mod len(series)`` (mathematical modulus)."""
     return float(series.values[index % len(series)])
 
 
-def chunk(series: HourlySeries, length: int, *, truncate: bool = False) -> ChunkedSeries:
-    """Split into sequential blocks of ``length`` hours.
+def chunk_sums(values: np.ndarray, length: int) -> np.ndarray:
+    """Sums of sequential ``length``-hour blocks along the last axis of a 1-D
+    or 2-D array.
 
-    A ragged final block is completed with wrapped-around leading values,
-    unless ``truncate`` is set (for non-annual data where circularity is
-    unwarranted), in which case the ragged tail is dropped.
+    A ragged final block is completed with wrapped-around leading values.
+    The full blocks are summed through a reshaped view and only the ragged
+    one is copied, so a (B, n) matrix is never padded as a whole.
     """
-    n = len(series)
+    n = values.shape[-1]
     if not 1 <= length <= n:
         raise InvalidChunkLength(f"chunk length {length} not in [1, {n}]")
-    vals = series.values
-    if truncate:
-        m = n // length
-        return ChunkedSeries(vals[: m * length].reshape(m, length).copy(), length, m * length, False)
-    m = math.ceil(n / length)
-    pad = m * length - n
-    if pad:
-        flat = np.concatenate([vals, vals[:pad]])
-    else:
-        flat = vals.copy()
-    return ChunkedSeries(flat.reshape(m, length), length, n, pad > 0)
+    full = n // length
+    sums = values[..., : full * length].reshape(*values.shape[:-1], full, length).sum(axis=-1)
+    pad = -n % length
+    if not pad:
+        return sums
+    ragged = np.concatenate([values[..., full * length :], values[..., :pad]], axis=-1).sum(axis=-1)
+    return np.concatenate([sums, ragged[..., None]], axis=-1)
 
 
 # characters that give a line CSV structure (a delimiter, a quote, a NUL);

@@ -2,21 +2,24 @@
 
 Underage/overage compare chunk totals of a synthetic series against the
 original beyond a threshold (absolute energy per chunk, or a fraction of
-the original chunk's total). Over an ensemble these per-series values form
-an empirical distribution with mass 1/B each.
+the original chunk's total). Over an ensemble these per-series values,
+taken along the rows of its (B, n) matrix, form an empirical distribution
+with mass 1/B each.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .ensemble import Ensemble
 from .errors import ConfigError, LengthMismatch, SeriesTooShort
-from .series import HourlySeries, chunk
+from .series import HourlySeries, chunk_sums
 
 
 @dataclass(frozen=True)
@@ -113,32 +116,39 @@ class Threshold:
         return self.alpha * original_chunk_sums
 
 
-def _chunk_sums(original: HourlySeries, synthetic: HourlySeries, length: int) -> tuple[np.ndarray, np.ndarray]:
-    if len(original) != len(synthetic):
-        raise LengthMismatch(f"series lengths differ: {len(original)} vs {len(synthetic)}")
-    return chunk(original, length).sums(), chunk(synthetic, length).sums()
+def _exceedance(
+    original: HourlySeries, rows: np.ndarray, length: int, threshold: Threshold, under: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """(total gap, chunk count) of each row of a (rows, n) matrix over the
+    chunks whose deficit (``under``) or surplus against ``original`` meets the
+    threshold.
+
+    Each total is the sum of that row's compacted hits, as one series alone
+    would give it; a masked sum along the axis rounds differently.
+    """
+    if rows.shape[1] != len(original):
+        raise LengthMismatch(f"series lengths differ: {len(original)} vs {rows.shape[1]}")
+    orig = chunk_sums(original.values, length)
+    synth = chunk_sums(rows, length)
+    gap = orig - synth if under else synth - orig
+    hit = gap >= threshold.per_chunk(orig)
+    return np.array([g[h].sum() for g, h in zip(gap, hit)]), hit.sum(axis=1)
 
 
 def underage(
     original: HourlySeries, synthetic: HourlySeries, length: int, threshold: Threshold
 ) -> tuple[float, int]:
     """(total deficit, chunk count) over chunks whose deficit meets the threshold."""
-    orig, synth = _chunk_sums(original, synthetic, length)
-    deficit = orig - synth
-    e = threshold.per_chunk(orig)
-    hit = deficit >= e
-    return float(deficit[hit].sum()), int(hit.sum())
+    totals, counts = _exceedance(original, synthetic.values[None], length, threshold, under=True)
+    return float(totals[0]), int(counts[0])
 
 
 def overage(
     original: HourlySeries, synthetic: HourlySeries, length: int, threshold: Threshold
 ) -> tuple[float, int]:
     """Mirror image of :func:`underage` with surplus = synthetic - original."""
-    orig, synth = _chunk_sums(original, synthetic, length)
-    surplus = synth - orig
-    e = threshold.per_chunk(orig)
-    hit = surplus >= e
-    return float(surplus[hit].sum()), int(hit.sum())
+    totals, counts = _exceedance(original, synthetic.values[None], length, threshold, under=False)
+    return float(totals[0]), int(counts[0])
 
 
 @dataclass(frozen=True)
@@ -153,12 +163,12 @@ class ExceedanceReport:
         return dict(zip(("mean", "std", "min", "q1", "median", "q3", "max"), _spread(self.values)))
 
 
-# statistic name -> (chunk comparison, field of its (total, count) result)
+# statistic name -> (whether it counts deficits, field of the (totals, counts) result)
 _STATISTICS = {
-    "underage": (underage, 0),
-    "overage": (overage, 0),
-    "underage_count": (underage, 1),
-    "overage_count": (overage, 1),
+    "underage": (True, 0),
+    "overage": (False, 0),
+    "underage_count": (True, 1),
+    "overage_count": (False, 1),
 }
 
 
@@ -169,12 +179,12 @@ def empirical_distribution(
     length: int,
     threshold: Threshold,
 ) -> ExceedanceReport:
-    """Evaluate an exceedance statistic on every ensemble member."""
+    """Evaluate an exceedance statistic on every ensemble member, along the
+    rows of ``ensemble.values``."""
     if not isinstance(statistic, str) or statistic not in _STATISTICS:
         raise ConfigError(f"unknown statistic {statistic!r}")
-    fn, field = _STATISTICS[statistic]
-    values = np.array([fn(original, HourlySeries(row), length, threshold)[field] for row in ensemble.values],
-                      dtype=float)
+    under, field = _STATISTICS[statistic]
+    values = _exceedance(original, ensemble.values, length, threshold, under)[field].astype(float)
     B = len(ensemble)
     return ExceedanceReport(statistic, values, np.full(B, 1.0 / B))
 
@@ -201,9 +211,6 @@ def ensemble_summary_table(
 
 
 def write_table_csv(table: dict[str, dict[str, float]], path) -> None:
-    import csv
-    from pathlib import Path
-
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     cols: Sequence[str] = list(next(iter(table.values())).keys())
@@ -216,9 +223,6 @@ def write_table_csv(table: dict[str, dict[str, float]], path) -> None:
 
 def histogram_csv(report: ExceedanceReport, path, bins: int = 30) -> None:
     """Emit bin edges/counts for external plotting."""
-    import csv
-    from pathlib import Path
-
     counts, edges = np.histogram(report.values, bins=bins)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -1,11 +1,14 @@
 """Independent brute-force reference implementations.
 
 Pure-Python, loop-based, deliberately sharing no code with the package:
-these are the oracles the fast paths are checked against. The one numpy
-reference, ``stable_sort_pools``, is the full-sort neighbour search, kept so
-that pool distances can be compared byte for byte. ``csv_writer_text`` and
-``csv_reader_load`` are the row-by-row CSV codec the bulk one replaced; the
-reader raises the package's ingestion errors, which are part of the contract.
+these are the oracles the fast paths are checked against. Two numpy
+references are kept so that floats can be compared byte for byte:
+``stable_sort_pools``, the full-sort neighbour search, and
+``padded_chunk_sums`` / ``series_exceedance``, the per-series block sums
+through a wrap-padded copy and the exceedance taken from them.
+``csv_writer_text`` and ``csv_reader_load`` are the row-by-row CSV codec the
+bulk one replaced; the reader raises the package's ingestion errors, which
+are part of the contract.
 """
 
 from __future__ import annotations
@@ -70,6 +73,31 @@ def brute_exceedance(original, synthetic, length, kind, param, direction):
             total += gap
             count += 1
     return total, count
+
+
+def padded_chunk_sums(values, length):
+    """Block sums of one series: a wrap-padded copy reshaped to (blocks, length)
+    and summed along axis 1."""
+    import numpy as np
+
+    vals = np.asarray(values, dtype=float)
+    n = vals.size
+    m = ceil(n / length)
+    flat = np.concatenate([vals, vals[: m * length - n]])
+    return flat.reshape(m, length).sum(axis=1)
+
+
+def series_exceedance(original, synthetic, length, kind, param, direction):
+    """(total, count) of one series' chunk deficits (direction='under') or
+    surpluses that meet the threshold; the total sums the compacted hits."""
+    import numpy as np
+
+    orig = padded_chunk_sums(original, length)
+    synth = padded_chunk_sums(synthetic, length)
+    gap = orig - synth if direction == "under" else synth - orig
+    e = np.full_like(orig, param) if kind == "absolute" else param * orig
+    hit = gap >= e
+    return float(gap[hit].sum()), int(hit.sum())
 
 
 def brute_altered_difference(high, low, alpha, delta_nonneg, result_nonneg):

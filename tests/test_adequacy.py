@@ -14,7 +14,7 @@ from synthseries.adequacy import (
     weight_sweep,
     windowed_adequacy,
 )
-from synthseries.errors import ConfigError, EmptyGrid, LengthMismatch, OutOfRange, ZeroLoad
+from synthseries.errors import ConfigError, EmptyGrid, LengthMismatch, OutOfRange, ValidationError, ZeroLoad
 from synthseries.sbb import generate_sbb_batch
 from synthseries.series import HourlySeries
 
@@ -84,6 +84,14 @@ class TestAdequacy:
         s = HourlySeries(np.ones(48))
         with pytest.raises(OutOfRange, match="finite"):
             adequacy(s, s, s, shortfall_fraction=fraction)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("hours", [48, 30])
+    def test_generation_that_overflows_is_validation_error(self, hours):
+        # 1e308 + 1e308 is inf; a ragged window (30 hours) used to report it as curtailment
+        big = HourlySeries(np.full(48, 1e308))
+        with pytest.raises(ValidationError):
+            windowed_adequacy(big, big, HourlySeries(np.ones(48)), 0, hours)
 
     def test_fractions_in_unit_interval(self, rng):
         load = HourlySeries(np.abs(rng.normal(100, 30, size=240)) + 1)

@@ -402,6 +402,56 @@ class TestExitCodes:
                                       "seed": -1, "output_dir": str(tmp_path / "x")})
         assert main(["generate", cfg]) == EXIT_CONFIG
 
+    @staticmethod
+    def _config(command: str, ensemble_dir: Path, out: Path) -> dict:
+        """A config each command runs with exit 0, writing into ``out``."""
+        return {
+            "generate": {"input": SOLAR, "method": "sbb", "params": {"sash": 2, "p": 4}, "B": 2, "seed": 1},
+            "perturb": {"method": "incremental", **PERTURB_CONFIGS["incremental"], "chunk_hours": 24},
+            "analyze": {"ensemble_dir": str(ensemble_dir), "original": SOLAR, "chunk_hours": 24,
+                        "threshold": {"kind": "absolute", "e": 10.0}},
+            "vre": {"solar": SOLAR, "wind": WIND, "nuclear": NUCLEAR, "load": LOAD,
+                    "weights": {"solar": 3, "wind": 2}, "shortfall_fraction": 0.9},
+        }[command] | {"output_dir": str(out)}
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("generate", "B", True),
+        ("generate", "B", 2.9),
+        ("generate", "seed", 1.5),
+        ("generate", "seed", False),
+        ("generate", "params.p", 5.5),
+        ("perturb", "chunk_hours", 24.5),
+        ("perturb", "distribution.std", True),
+        ("analyze", "chunk_hours", 24.5),
+        ("analyze", "threshold.e", True),
+        ("vre", "shortfall_fraction", True),
+        ("vre", "weights.solar", False),
+    ])
+    def test_bool_or_fractional_number_is_config_error(self, tmp_path, capsys, small_ensembles, command, key,
+                                                        value):
+        # int() and float() would take these: "B": true wrote 1 series and "B": 2.9 wrote 2
+        out = tmp_path / "out"
+        cfg = with_settings(self._config(command, small_ensembles[0], out), {key: value})
+        assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert f"{key.split('.')[-1]!r} must be" in capsys.readouterr().err
+        assert_nothing_written(out)
+
+    @pytest.mark.parametrize("key, value", [("B", 2.0), ("seed", 1.0), ("params.p", 4.0)])
+    def test_integral_float_is_an_integer(self, tmp_path, key, value):
+        cfg = with_settings(self._config("generate", Path(), tmp_path / "ens"), {key: value})
+        assert main(["generate", write_config(tmp_path, cfg)]) == EXIT_OK
+        assert len(Ensemble.load(tmp_path / "ens")) == 2
+
+    @pytest.mark.parametrize("command", ["generate", "perturb", "analyze", "vre"])
+    @pytest.mark.parametrize("value", [5, None, ["value"]])
+    def test_value_column_that_is_not_a_string_is_config_error(self, tmp_path, capsys, small_ensembles, command,
+                                                               value):
+        out = tmp_path / "out"
+        cfg = self._config(command, small_ensembles[0], out) | {"value_column": value}
+        assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert "'value_column' must be a column name string" in capsys.readouterr().err
+        assert_nothing_written(out)
+
     def test_manifest_without_series_files_is_io_error(self, tmp_path, capsys):
         ens = self._generate(tmp_path)
         manifest = json.loads((ens / "manifest.json").read_text())

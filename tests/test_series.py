@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from synthseries.errors import (
     UnparseableValue,
     ValidationError,
 )
-from synthseries.series import HourlySeries, chunk, circular_get, load_csv, write_csv
+from synthseries.series import HourlySeries, chunk_sums, circular_get, load_csv, write_csv
 
 from . import oracles
 
@@ -73,41 +74,72 @@ class TestCircularGet:
 
 class TestChunk:
     def test_exact_division(self):
-        s = HourlySeries(np.array([1.0, 2.0, 3.0, 4.0]))
-        c = chunk(s, 2)
-        assert c.chunks.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-        assert not c.wrapped
+        # blocks [1, 2], [3, 4]
+        assert chunk_sums(np.array([1.0, 2.0, 3.0, 4.0]), 2).tolist() == [3.0, 7.0]
 
     def test_wrap_padding(self):
-        s = HourlySeries(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
-        c = chunk(s, 2)
-        assert c.chunks.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 1.0]]
-        assert c.wrapped
+        # blocks [1, 2], [3, 4], [5, 1]: the ragged block takes the first value
+        vals = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        assert chunk_sums(vals, 2).tolist() == [3.0, 7.0, 6.0]
+        assert chunk_sums(np.stack([vals, 10 * vals]), 2).tolist() == [[3.0, 7.0, 6.0], [30.0, 70.0, 60.0]]
 
     def test_year_into_days(self):
         vals = np.arange(1, 8761, dtype=float)  # 1-based values mirror hour numbers
-        c = chunk(HourlySeries(vals), 24)
-        assert c.chunks.shape == (365, 24)
-        assert c.chunks[-1][0] == 8737.0 and c.chunks[-1][-1] == 8760.0
-
-    def test_truncate_option(self):
-        s = HourlySeries(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
-        c = chunk(s, 2, truncate=True)
-        assert c.chunks.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        sums = chunk_sums(vals, 24)
+        assert sums.shape == (365,)
+        assert sums[-1] == sum(range(8737, 8761))
 
     def test_invalid_length(self):
-        s = HourlySeries(np.array([1.0, 2.0]))
-        for bad in (0, 3, -1):
-            with pytest.raises(InvalidChunkLength):
-                chunk(s, bad)
+        for vals in (np.array([1.0, 2.0]), np.ones((3, 2))):
+            for bad in (0, 3, -1):
+                with pytest.raises(InvalidChunkLength):
+                    chunk_sums(vals, bad)
 
-    @given(finite_values, st.integers(min_value=1, max_value=60))
-    @settings(max_examples=60)
-    def test_flatten_identity(self, values, length):
-        s = HourlySeries(np.array(values))
-        if length > len(s):
-            length = len(s)
-        assert chunk(s, length).flatten().tolist() == list(s.values)
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_padded_copy(self, data):
+        """Byte for byte the sums of each row's wrap-padded copy, 1-D or 2-D."""
+        n = data.draw(st.integers(min_value=1, max_value=600), label="n")
+        length = data.draw(st.one_of(
+            st.integers(min_value=1, max_value=n),
+            st.just(n),
+            st.integers(min_value=1, max_value=min(n, 7)),
+            st.integers(min_value=min(n, 129), max_value=n),
+        ), label="length")
+        rows = data.draw(st.sampled_from([None, 1, 2, 5]), label="rows")
+        r = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1), label="seed"))
+        vals = odd_floats(r, (rows or 1) * n).reshape(-1, n)
+        if rows is None:
+            vals = vals[0]
+        expected = np.array([oracles.padded_chunk_sums(row, length) for row in np.atleast_2d(vals)])
+        got = chunk_sums(vals, length)
+        assert got.shape == (expected.shape if rows else expected.shape[1:])
+        assert got.tobytes() == expected.tobytes()
+
+    def test_no_padded_copy_of_the_matrix(self):
+        vals = np.random.default_rng(0).uniform(size=(64, 1000))  # 1000 = 142 * 7 + 6: ragged
+        tracemalloc.start()
+        try:
+            chunk_sums(vals, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the sums and their copy with the ragged block appended; a padded copy
+        # alone would be more than vals.nbytes
+        assert peak < vals.nbytes / 2
+
+
+def odd_floats(r: np.random.Generator, size: int) -> np.ndarray:
+    """Uniform, Cauchy, signed-zero or mixed-magnitude values: inputs on which
+    a different summation order shows in the last bits."""
+    kind = r.integers(4)
+    if kind == 0:
+        return r.uniform(0, 100, size=size)
+    if kind == 1:
+        return r.standard_cauchy(size=size)
+    if kind == 2:
+        return r.choice([0.0, -0.0, 1.0, -2.5, 1e-300], size=size)
+    return r.normal(size=size) * 10.0 ** r.integers(-8, 9, size=size)
 
 
 class TestCsv:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synthseries.ensemble import Ensemble
 from synthseries.errors import ConfigError, LengthMismatch, SeriesTooShort
 from synthseries.sbb import generate_sbb_batch
 from synthseries.series import HourlySeries
@@ -17,7 +18,7 @@ from synthseries.stats import (
     underage,
 )
 
-from .oracles import brute_exceedance
+from .oracles import brute_exceedance, series_exceedance
 
 
 class TestSummarize:
@@ -124,6 +125,7 @@ class TestExceedance:
             exp_sum, exp_count = brute_exceedance(orig, synth, length, kind, param, direction)
             assert got_count == exp_count
             assert got_sum == pytest.approx(exp_sum, rel=1e-12, abs=1e-9)
+            assert (got_sum, got_count) == series_exceedance(orig, synth, length, kind, param, direction)
 
 
 class TestEmpiricalDistribution:
@@ -140,6 +142,26 @@ class TestEmpiricalDistribution:
         thr = Threshold(kind="proportional", alpha=0.05)
         rep = empirical_distribution(ens, s, "underage", 24, thr)
         assert rep.masses.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("statistic", ["underage", "overage", "underage_count", "overage_count"])
+    @pytest.mark.parametrize("kind, param", [("absolute", 0.0), ("absolute", 25.0), ("proportional", 0.05)])
+    @pytest.mark.parametrize("source, length", [("solar", 24), ("wind", 5), ("wind", 7), ("mixed", 24)])
+    def test_equals_the_per_member_reference(self, request, statistic, kind, param, source, length):
+        """Byte for byte the values of one padded-copy comparison per member."""
+        if source == "mixed":
+            r = np.random.default_rng(5)
+            scale = 10.0 ** r.integers(-3, 6, size=2001)
+            s = HourlySeries(r.normal(0, 1, size=2001) * scale)
+            ens = Ensemble(s.values + r.normal(0, 1, size=(25, 2001)) * scale, "test", {}, 0, s.checksum())
+        else:
+            s = request.getfixturevalue(f"{source}_fixture")
+            ens = generate_sbb_batch(s, 2, 5, B=25, master_seed=3)
+        rep = empirical_distribution(ens, s, statistic, length, Threshold(kind=kind, e=param, alpha=param))
+        direction = "under" if statistic.startswith("under") else "over"
+        field = 1 if statistic.endswith("_count") else 0
+        expected = np.array([series_exceedance(s.values, row, length, kind, param, direction)[field]
+                             for row in ens.values], dtype=float)
+        assert rep.values.tobytes() == expected.tobytes()
 
     def test_unknown_statistic(self, rng):
         s = HourlySeries(np.abs(rng.normal(100, 20, size=96)))
