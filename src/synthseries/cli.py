@@ -59,11 +59,12 @@ def _load_config(path: str) -> dict[str, Any]:
 
 def _coerce(value: Any, kind: type, key: str) -> Any:
     """``kind(value)``; a value that does not convert, a NaN or infinite
-    float, a bool, or a float with a fractional part where an integer is
-    wanted is a config error. ``int`` and ``float`` would take the last two
-    silently: ``int(2.9)`` is 2 and ``float(True)`` is 1.0."""
+    float, a bool, a string, or a float with a fractional part where an
+    integer is wanted is a config error. ``int`` and ``float`` would take the
+    last three silently: ``int(2.9)`` is 2, ``float(True)`` is 1.0 and
+    ``int(" 4 ")`` is 4."""
     name = "an integer" if kind is int else "a number"
-    if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
+    if isinstance(value, (bool, str)) or (kind is int and isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{key!r} must be {name}, got {value!r}")
     try:
         result = kind(value)

@@ -15,26 +15,14 @@ pools: the BLAS expansion ||a||^2 + ||b||^2 - 2 a.b rounds differently, a
 9-column windows of sash 4), and the running sum of matrix-profile
 algorithms adds in another order.
 
-An embedding repeats its terms: column j of row i is column j - 1 of row
-i + 1 (mod n), so the term of column j for rows (i, t) is the term of
-column j - 1 for rows (i + 1, t + 1). For each run of columns so shifted
-(all w columns of an ``embed``; one column each in an arbitrary matrix) and
-each tile of consecutive rows, the squared differences of the run's first
-column are computed once, into one table, and every column of the run reads
-its terms from that table as a shifted view. Each term keeps its two
-operands (up to the sign of a zero, which squaring drops), its subtract and
-multiply, and its place in the column-order sum, so the bytes stay those of
-``cdist``.
-
 A row's pool is the first k of its candidates ordered by (distance, row
 index), i.e. the first k entries of a stable sort of the row, without
 sorting the row. Equal rows (the all-zero windows of solar nights, about
 a third of a solar year) have byte-identical distance rows and so one
 shared candidate order; only where the row itself sits in it differs.
-The search therefore runs once per distinct row (``np.unique``, taken in
-order of first appearance, from that first row), against all n rows,
-itself included, and selects one candidate more than a pool
-holds when the row itself is to be left out.
+The search therefore runs once per distinct row (``np.unique``), itself
+among its candidates, and selects one candidate more than a pool holds
+when the row itself is to be left out.
 
 ``argpartition`` finds the boundary distance of that selection. When
 exactly as many candidates lie at or inside it, they are the selection.
@@ -45,7 +33,43 @@ plus the lowest-index candidates at exactly the boundary distance.
 the shared order of its distinct row without itself, and with
 ``include_self`` puts itself first, at distance 0. The pool indices and the
 distance bytes are therefore exactly those of the full stable
-sort, at O(n) per distinct row.
+sort, at the cost of one pass over the candidates measured.
+
+Most candidates cannot enter a pool, and row sums show which (Friedman,
+Baskett & Shustek 1975): for rows a, b of width w,
+|sum a - sum b| <= sqrt(w) |a - b|. The distinct rows are searched in
+blocks of ``_BLOCK_ROWS`` in order of (row sum, first row), and a block
+measures only a window: the rows whose sums lie within h of the block's,
+and at least 2 kk rows past them on either side in sum order, where kk is
+the number of candidates selected and h is 1.05 times the 90th percentile
+of the previous block's reaches. A row's reach is sqrt(w) times its kk-th
+distance in the window, widened by what rounding can do to the distances
+and to the sums (the relative error of a w-term sum, the absolute error of
+squares flushed to zero, and the error of each sum, bounded by the sum of
+absolute values). Every row at or within the kk-th distance, a tie
+included, has a sum within reach, so a row whose window holds every sum
+within reach is certified: the sums just outside lie strictly beyond its
+sum plus or minus its reach. Its pool from the window is its pool. The
+rows a block leaves uncertified take one second window holding every sum
+within any of their reaches; their kk-th distance there can only be
+smaller, so it certifies them all. A window is taken in index order, so
+ties still go to the lower index.
+
+A block whose window would hold more than ``_WINDOW_SHARE`` of the rows
+measures all of them with the shared-table kernel, as does every block of
+a matrix with no columns or with a sum, or a sum of absolute values, that
+is not finite, where the bound gives nothing. An embedding repeats its
+terms: column j of row i is column j - 1 of row i + 1 (mod n), so the term
+of column j for rows (i, t) is the term of column j - 1 for rows
+(i + 1, t + 1). For each run of columns so shifted (all w columns of an
+``embed``; one column each in an arbitrary matrix) and each tile of
+consecutive rows, the squared differences of the run's first column are
+computed once, into one table, and every column of the run reads its terms
+from that table as a shifted view. Each term keeps its two operands (up to
+the sign of a zero, which squaring drops), its subtract and multiply, and
+its place in the column-order sum, so the bytes stay those of ``cdist``.
+Each block is taken in order of first row, so that consecutive rows share
+a tile.
 """
 
 from __future__ import annotations
@@ -58,14 +82,27 @@ from .errors import ConfigError
 from .kernels import ResamplingKernel
 from .series import HourlySeries
 
-# distinct rows per distance block; a block holds a few (rows, n) temporaries
-# (the distances, the partition, the tie-closure masks), so this bounds peak memory
+# distinct rows per search block; a block holds a few (rows, window) temporaries
+# (the distances, the partition, the tie-closure masks), all views of buffers
+# sized for a (_BLOCK_ROWS, n) block, so this bounds peak memory
 _BLOCK_ROWS = 128
-# consecutive rows per distance pass: the pass builds one table of squared
-# differences per run of shifted columns, _TILE_ROWS + run width - 1 rows tall,
-# and adds the run's columns from it; at n = 8760, tiles of 16 to 64 rows
-# were slower, as was splitting the candidate axis
+# query rows per distance pass: a window pass subtracts, squares and adds one
+# column at a time into _TILE_ROWS rows of one scratch row per candidate
+# (on a wind block at n = 8760, tiles of 4 to 32 rows took within 13% of 8);
+# the shared-table pass builds one table of squared differences per run of
+# shifted columns, _TILE_ROWS + run width - 1 rows tall, and adds the run's
+# columns from it (tiles of 16 to 64 rows were slower)
 _TILE_ROWS = 8
+# a block whose window would hold more than this share of the rows measures
+# them all with the shared-table kernel; over all n rows of a block in sum
+# order, that kernel took 0.8 (a solar lag-24 or lag-48 embedding, whose
+# consecutive rows often share a block and a tile) to 1.4 (wind lag 48) times
+# as long as the window kernel at n = 8760
+_WINDOW_SHARE = 0.8
+_EPS = np.finfo(float).eps
+# w * _UNDERFLOW bounds what squares flushed to zero, each below 2**-1075,
+# take off sqrt(w) times a distance: sqrt(w) * sqrt(w * 2**-1075) < w * 2**-535
+_UNDERFLOW = 2.0**-535
 
 
 class Pools(NamedTuple):
@@ -81,15 +118,17 @@ def embed(source: HourlySeries, offsets: np.ndarray) -> np.ndarray:
     return source.values[(np.arange(n)[:, None] + offsets) % n]
 
 
-def _distinct_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first matrix row of each distinct row, increasing, and per row the
-    position of its distinct row among them.
+def _distinct_rows(m: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first matrix row of each distinct row, in search order, and per row
+    the position of its distinct row in that order.
 
-    In order of first appearance, consecutive distinct rows are mostly
-    consecutive matrix rows, which ``_euclidean`` tiles together.
+    The search order takes the distinct rows by (row sum, first row), so a
+    block holds rows of similar sums, and within each block of
+    ``_BLOCK_ROWS`` by first row, so ``_euclidean`` tiles consecutive rows.
     """
     _, first, inverse = np.unique(m, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
+    order = np.lexsort((first, sums[first]))
+    order = order[np.lexsort((first[order], np.arange(order.size) // _BLOCK_ROWS))]
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     return first[order], rank[inverse.reshape(m.shape[0])]
@@ -142,6 +181,48 @@ def _euclidean(
         r += t
 
 
+def _window_euclidean(queries: np.ndarray, candidates: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """``out[r, c]`` = the distance from row ``queries[r]`` to column c of
+    ``candidates`` (one matrix column per row, so (w, C) with w >= 1), as
+    ``cdist`` sums it: per column in order, subtract, square and add."""
+    for r in range(0, queries.shape[0], _TILE_ROWS):
+        acc = out[r : r + _TILE_ROWS]
+        q = queries[r : r + _TILE_ROWS, :, None]
+        sq = scratch[: acc.size].reshape(acc.shape)
+        np.subtract(q[:, 0], candidates[0], out=acc)
+        np.multiply(acc, acc, out=acc)
+        for j in range(1, candidates.shape[0]):
+            np.subtract(q[:, j], candidates[j], out=sq)
+            np.multiply(sq, sq, out=sq)
+            np.add(acc, sq, out=acc)
+    np.sqrt(out, out=out)
+
+
+def _select(d: np.ndarray, kk: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``d``, the columns of its first ``kk`` entries in the order
+    (value, column), and those values: the first ``kk`` of a stable sort."""
+    rows = np.arange(d.shape[0])
+    cols = np.argpartition(d, kk - 1, axis=1)[:, :kk].copy()
+    kth = d[rows, cols[:, kk - 1]][:, None]
+    # rows with more than kk candidates within the kk-th distance, where
+    # partition chose among the equal ones arbitrarily: keep every closer
+    # candidate plus the lowest-index ones at exactly the kk-th distance
+    tied = np.flatnonzero(np.count_nonzero(d <= kth, axis=1) > kk)
+    if tied.size:
+        dt, kt = d[tied], kth[tied]
+        closer = dt < kt
+        at = dt == kt
+        room = kk - np.count_nonzero(closer, axis=1)[:, None]
+        keep = closer | (at & (np.cumsum(at, axis=1, dtype=np.int32) <= room))
+        cols[tied] = np.nonzero(keep)[1].reshape(tied.size, kk)
+    vals = np.take_along_axis(d, cols, axis=1)
+    order = np.lexsort((cols, vals))
+    return np.take_along_axis(cols, order, axis=1), np.take_along_axis(vals, order, axis=1)
+
+
+# a distance or a row sum that overflows is a result (an infinite distance, as
+# cdist gives it, or sums that send the search past its windows), not a fault
+@np.errstate(over="ignore", invalid="ignore")
 def nearest_rows(
     matrix: np.ndarray,
     k: int,
@@ -156,12 +237,16 @@ def nearest_rows(
     ``include_self`` the first entry of row i is i itself at distance 0.
     """
     m = np.asarray(matrix, dtype=float)
-    n = m.shape[0]
+    n, w = m.shape
     limit = n if include_self else n - 1
     if k < 1 or k > limit:
         raise too_large(f"k={k} out of range [1, {limit}] for {n} rows (include_self={include_self})")
 
-    reps, inverse = _distinct_rows(m)
+    sums = m.sum(axis=1)
+    # a bound on how far a computed row sum can lie from the exact one
+    slack = 4 * w * _EPS * np.abs(m).sum(axis=1)
+    windowed = w > 0 and bool(np.isfinite(sums).all() and np.isfinite(slack).all())
+    reps, inverse = _distinct_rows(m, sums)
     # the original rows of distinct rows [a, b) are members[first[a]:first[b]]
     members = np.argsort(inverse)
     first = np.concatenate(([0], np.cumsum(np.bincount(inverse))))
@@ -173,47 +258,80 @@ def nearest_rows(
 
     indices = np.empty((n, k), dtype=np.intp)
     distances = np.empty((n, k), dtype=float)
-    w = m.shape[1]
     runs = _shift_runs(m)
     wrapped = np.ascontiguousarray(m[np.arange(n + w - 1) % n].T)
     widest = max((width for _, width in runs), default=1)
     scratch = np.empty((_TILE_ROWS + widest - 1) * (n + widest - 1))
-    block = np.empty((min(_BLOCK_ROWS, reps.size), n))
+    block = np.empty(min(_BLOCK_ROWS, reps.size) * n)
+    # every row by (sum, index): the rows whose sums lie in an interval are one slice
+    by_sum = np.argsort(sums, kind="stable")
+    sorted_sums = sums[by_sum]
+    slack_max = slack.max(initial=0.0)
+    h = 0.0
     for start in range(0, reps.size, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, reps.size)
-        rows = np.arange(stop - start)
-        d = block[: stop - start]
-        _euclidean(wrapped, runs, reps[start:stop], d, scratch)
-        cols = np.argpartition(d, kk - 1, axis=1)[:, :kk].copy()
-        kth = d[rows, cols[:, kk - 1]][:, None]
-        # rows with more than kk candidates within the kk-th distance, where
-        # partition chose among the equal ones arbitrarily: keep every closer
-        # candidate plus the lowest-index ones at exactly the kk-th distance
-        tied = np.flatnonzero(np.count_nonzero(d <= kth, axis=1) > kk)
-        if tied.size:
-            dt, kt = d[tied], kth[tied]
-            closer = dt < kt
-            at = dt == kt
-            room = kk - np.count_nonzero(closer, axis=1)[:, None]
-            keep = closer | (at & (np.cumsum(at, axis=1, dtype=np.int32) <= room))
-            cols[tied] = np.nonzero(keep)[1].reshape(tied.size, kk)
-        vals = np.take_along_axis(d, cols, axis=1)
-        order = np.lexsort((cols, vals))
-        cols = np.take_along_axis(cols, order, axis=1)
-        vals = np.take_along_axis(vals, order, axis=1)
+        own_all = members[first[start]:first[stop]]
+        group_all = inverse[own_all] - start
+        left = np.arange(stop - start)
+        for second in (False, True):
+            rows = reps[start + left]
+            s = sums[rows]
+            if not windowed:
+                lo, hi = 0, n
+            elif second:
+                # every sum any uncertified row can reach, so it certifies them all
+                lo = np.searchsorted(sorted_sums, (s - reach).min())
+                hi = np.searchsorted(sorted_sums, (s + reach).max(), "right")
+            else:
+                # the block's sums widened by h, and by at least 2 kk rows on either side
+                lo = max(0, min(np.searchsorted(sorted_sums, s.min() - h),
+                                np.searchsorted(sorted_sums, s.min()) - 2 * kk))
+                hi = min(n, max(np.searchsorted(sorted_sums, s.max() + h, "right"),
+                                np.searchsorted(sorted_sums, s.max(), "right") + 2 * kk))
+            if hi - lo > _WINDOW_SHARE * n:
+                lo, hi = 0, n
+                window = np.arange(n)
+                d = block[: rows.size * n].reshape(rows.size, n)
+                _euclidean(wrapped, runs, rows, d, scratch)
+            else:
+                # the window in index order, so that ties still go to the lower index
+                window = np.sort(by_sum[lo:hi])
+                d = block[: rows.size * window.size].reshape(rows.size, window.size)
+                _window_euclidean(m[rows], np.ascontiguousarray(m[window].T), d, scratch)
+            cols, vals = _select(d, kk)
+            cols = window[cols]
+            done = np.ones(rows.size, dtype=bool)
+            if windowed and not second:
+                # |sum a - sum b| <= sqrt(w) |a - b|, so every row within the
+                # kk-th distance, ties included, has a sum within reach of s;
+                # the reach is widened by the rounding of distances and sums
+                reach = np.sqrt(w) * vals[:, kk - 1] * (1 + 4 * (w + 2) * _EPS) + (
+                    slack[rows] + slack_max + w * _UNDERFLOW)
+                h = 1.05 * np.quantile(reach, 0.9, method="higher")
+                if lo:
+                    done &= sorted_sums[lo - 1] < s - reach
+                if hi < n:
+                    done &= sorted_sums[hi] > s + reach
 
-        # a member and every entry before it in the shared order are at
-        # distance 0, so moving it to the front or leaving it out keeps the
-        # distances in place: a pool's are the shared ones from column 1 - lead
-        own = members[first[start]:first[stop]]
-        group = inverse[own] - start
-        distances[own] = vals[group, 1 - lead : 1 - lead + k]
-        # the shared order skips a member from where the member itself stands
-        shared = cols[group]
-        past_self = np.cumsum(shared == own[:, None], axis=1)[:, : k - lead]
-        indices[own, lead:] = np.take_along_axis(shared, j + past_self, axis=1)
-        if include_self:
-            indices[own, 0] = own
+            # scatter the certified rows: a member and every entry before it
+            # in the shared order are at distance 0, so moving it to the front
+            # or leaving it out keeps the distances in place: a pool's are the
+            # shared ones from column 1 - lead
+            where = np.full(stop - start, -1)
+            where[left[done]] = np.flatnonzero(done)
+            group = where[group_all]
+            own = own_all[group >= 0]
+            group = group[group >= 0]
+            distances[own] = vals[group, 1 - lead : 1 - lead + k]
+            # the shared order skips a member from where the member itself stands
+            shared = cols[group]
+            past_self = np.cumsum(shared == own[:, None], axis=1)[:, : k - lead]
+            indices[own, lead:] = np.take_along_axis(shared, j + past_self, axis=1)
+            if include_self:
+                indices[own, 0] = own
+            if done.all():
+                break
+            left, reach = left[~done], reach[~done]
     return Pools(indices, distances)
 
 

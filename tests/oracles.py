@@ -140,7 +140,8 @@ def stable_sort_pools(matrix, k, include_self):
     n = m.shape[0]
     d = cdist(m, m)
     d[np.arange(n), np.arange(n)] = 0.0 if include_self else np.inf
-    order = np.argsort(d, axis=1, kind="stable")[:, :k]
+    # left out, a row sorts after every other candidate, also those at inf
+    order = np.lexsort((np.eye(n, dtype=bool) & (not include_self), d))[:, :k]
     indices = order.copy()
     distances = np.take_along_axis(d, order, axis=1)
     if include_self:

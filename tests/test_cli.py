@@ -436,6 +436,36 @@ class TestExitCodes:
         assert f"{key.split('.')[-1]!r} must be" in capsys.readouterr().err
         assert_nothing_written(out)
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("generate", "B", "3"),
+        ("generate", "seed", "1"),
+        ("generate", "params.sash", "2"),
+        ("generate", "params.p", " 4 "),
+        ("perturb", "chunk_hours", "24"),
+        ("perturb", "seed", "3"),
+        ("perturb", "distribution.mean", "25"),
+        ("perturb", "clamp.alpha_max", "1.0"),
+        ("analyze", "chunk_hours", "24"),
+        ("analyze", "threshold.e", "10.0"),
+        ("vre", "shortfall_fraction", "0.9"),
+        ("vre", "weights.solar", "3"),
+        ("vre", "ensembles.pairs", "5"),
+        ("vre", "ensembles.pairing_seed", "7"),
+    ])
+    def test_numeric_string_is_config_error(self, tmp_path, capsys, small_ensembles, command, key, value):
+        # int() and float() would take these: "B": "3" wrote 3 series
+        out = tmp_path / "out"
+        cfg = self._config(command, small_ensembles[0], out)
+        if command == "vre":
+            cfg["ensembles"] = {"solar_dir": str(small_ensembles[0]), "wind_dir": str(small_ensembles[1]),
+                                "pairing_seed": 7, "pairs": 2}
+        # the same config with the number written as a number runs
+        assert main([command, write_config(tmp_path, cfg | {"output_dir": str(tmp_path / "ok")})]) == EXIT_OK
+        cfg = with_settings(cfg, {key: value})
+        assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert f"{key.split('.')[-1]!r} must be" in capsys.readouterr().err
+        assert_nothing_written(out)
+
     @pytest.mark.parametrize("key, value", [("B", 2.0), ("seed", 1.0), ("params.p", 4.0)])
     def test_integral_float_is_an_integer(self, tmp_path, key, value):
         cfg = with_settings(self._config("generate", Path(), tmp_path / "ens"), {key: value})

@@ -10,7 +10,9 @@ cannot show the order in which a distance adds its columns, so the float
 matrices, up to 12 columns wide and of mixed magnitudes, check the distance
 bytes against ``cdist`` through the oracle. Their columns are almost never
 shifted copies of one another, so they take one table per column; the
-embeddings after them take the shared tables of shifted columns.
+embeddings after them take the shared tables of shifted columns. The last
+matrices are built against the row-sum windows: equal or overflowing sums,
+subnormals, and ties at the edge of the bound the windows rest on.
 """
 
 from __future__ import annotations
@@ -214,6 +216,117 @@ class TestEmbeddings:
         assert np.signbit(m[0, 1]) and not np.signbit(m[1, 0])
         assert neighbors._shift_runs(m) == [(0, 3)]
         assert_stable_sort_pools(m, 3, include_self)
+
+
+class TestWindows:
+    """Adversarial matrices for the projection windows: each block of rows
+    measures only the candidates whose row sums its window reaches, and
+    certifies a row only when the sums just outside lie strictly beyond its
+    sum +- sqrt(w) times its kk-th distance, widened by the rounding slack.
+    Blocks of a few rows and a window share that never (1.0) or always (0.0)
+    takes the shared-table kernel put many windows, second windows and
+    fallbacks into matrices of a few dozen rows."""
+
+    FAMILIES = ["permutations", "huge", "tiny", "compensated", "tight", "diagonal"]
+    TINY = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-170, -1e-170, 3e-162])
+    HUGE = np.array([1e308, -1e308, 1.7e308, -1.7e308, 5e307, -5e307, 1e307, 1.0, 0.0])
+
+    @staticmethod
+    def matrix(family, rng, n, w):
+        if family == "permutations":
+            # one multiset per matrix, so all sums are equal up to the order
+            # in which each row adds them; dyadic values add exactly
+            base = rng.integers(-8, 9, size=w) / 4.0 if rng.random() < 0.5 else rng.standard_normal(w)
+            return rng.permuted(np.tile(base, (n, 1)), axis=1)
+        if family == "huge":
+            # sums, absolute sums or distances overflow to +-inf or nan
+            return rng.choice(TestWindows.HUGE, size=(n, w))
+        if family == "tiny":
+            # subnormals, signed zeros, and squares that flush to zero
+            return rng.choice(TestWindows.TINY, size=(n, w)) * rng.choice([1.0, 3.0, 0.5], size=(n, w))
+        if family == "compensated":
+            # a last column of c - (the others): near-equal sums
+            m = rng.standard_normal((n, w)) * 10.0 ** rng.integers(-3, 4)
+            m[:, -1] = rng.standard_normal() - m[:, :-1].sum(axis=1)
+            return m
+        if family == "tight":
+            # c + a and two c - a rows on the diagonal through c, where
+            # |sum a - sum b| = sqrt(w) |a - b| holds with equality: c is as far
+            # from either, a tie that c + a wins by its lower index; the rows
+            # between them in sum are far off, so rounding in the distances
+            # or in the sums of large c decides whether a window takes them
+            c = rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(0, 12)
+            a = 10.0 ** rng.uniform(-8, 1)
+            off = np.zeros(w)
+            off[0], off[-1] = 1e3 * max(a, 1.0), -1e3 * max(a, 1.0)
+            between = np.linspace(0.1 * a, 1.9 * a, max(n - 4, 0))[:, None]
+            return np.vstack([np.full((1, w), c + a), np.full((2, w), c - a), np.full((1, w), c), c + off + between])[:n]
+        # rows along the diagonal, where rounding decides which side of the
+        # bound a sum falls on
+        x = rng.integers(-6, 7, size=(n, 1)) * rng.choice([1.0, 0.1, 1 / 3])
+        return x + np.where(rng.random((n, w)) < 0.2, rng.choice([1e-16, -1e-16, 1e-12], size=(n, w)), 0.0)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @given(
+        n=st.integers(1, 60),
+        w=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        block=st.integers(1, 9),
+        share=st.sampled_from([1.0, 1.0, 0.5, 0.0]),
+        include_self=st.booleans(),
+        k_fraction=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fuzz_windows(self, family, n, w, seed, block, share, include_self, k_fraction):
+        limit = n if include_self else n - 1
+        if limit < 1:
+            return
+        m = self.matrix(family, np.random.default_rng(seed), n, w)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors, "_BLOCK_ROWS", block)
+            mp.setattr(neighbors, "_WINDOW_SHARE", share)
+            assert_stable_sort_pools(m, 1 + int(k_fraction * (limit - 1)), include_self)
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_reach_covers_the_rounding_of_a_tight_bound(self, monkeypatch, block, include_self):
+        # (0, 0) is as far from (a, a) as from (-a, -a), a tie that (a, a) wins
+        # by its lower index; the rows between them in sum are far away. The
+        # bound |sum a - sum b| <= sqrt(2) |a - b| holds with equality, and
+        # sqrt(2) times the computed distance rounds below 2a, so a reach
+        # without its rounding slack leaves both outside the second window
+        a = 1.4935715599433963
+        assert np.sqrt(2) * np.sqrt(a * a + a * a) < 2 * a
+        far = [[1e3 + s, -1e3] for s in np.linspace(0.1 * a, 1.9 * a, 8)]
+        m = np.array([[a, a], [-a, -a], [-a, -a], [0.0, 0.0], *far])
+        monkeypatch.setattr(neighbors, "_BLOCK_ROWS", block)
+        monkeypatch.setattr(neighbors, "_WINDOW_SHARE", 1.0)
+        assert_stable_sort_pools(m, 2 - include_self, include_self)
+
+    @given(
+        w=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+        block=st.integers(1, 3),
+        include_self=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_ties_at_a_tight_bound(self, w, seed, block, include_self):
+        # the pool that the tie decides: c's nearest row after itself
+        m = self.matrix("tight", np.random.default_rng(seed), 12, w)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors, "_BLOCK_ROWS", block)
+            mp.setattr(neighbors, "_WINDOW_SHARE", 1.0)
+            assert_stable_sort_pools(m, 2 - include_self, include_self)
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_k_at_its_limit_in_small_blocks(self, monkeypatch, family, include_self):
+        # n <= 2 kk: every window holds every row
+        monkeypatch.setattr(neighbors, "_BLOCK_ROWS", 2)
+        monkeypatch.setattr(neighbors, "_WINDOW_SHARE", 1.0)
+        m = self.matrix(family, np.random.default_rng(7), 13, 3)
+        for k in (12, 13) if include_self else (11, 12):
+            assert_stable_sort_pools(m, k, include_self)
 
 
 def test_year_search_peak_memory():
