@@ -50,26 +50,15 @@ absolute values). Every row at or within the kk-th distance, a tie
 included, has a sum within reach, so a row whose window holds every sum
 within reach is certified: the sums just outside lie strictly beyond its
 sum plus or minus its reach. Its pool from the window is its pool. The
-rows a block leaves uncertified take one second window holding every sum
-within any of their reaches; their kk-th distance there can only be
-smaller, so it certifies them all. A window is taken in index order, so
-ties still go to the lower index.
-
-A block whose window would hold more than ``_WINDOW_SHARE`` of the rows
-measures all of them with the shared-table kernel, as does every block of
-a matrix with no columns or with a sum, or a sum of absolute values, that
-is not finite, where the bound gives nothing. An embedding repeats its
-terms: column j of row i is column j - 1 of row i + 1 (mod n), so the term
-of column j for rows (i, t) is the term of column j - 1 for rows
-(i + 1, t + 1). For each run of columns so shifted (all w columns of an
-``embed``; one column each in an arbitrary matrix) and each tile of
-consecutive rows, the squared differences of the run's first column are
-computed once, into one table, and every column of the run reads its terms
-from that table as a shifted view. Each term keeps its two operands (up to
-the sign of a zero, which squaring drops), its subtract and multiply, and
-its place in the column-order sum, so the bytes stay those of ``cdist``.
-Each block is taken in order of first row, so that consecutive rows share
-a tile.
+rows a block leaves uncertified then measure the flanks that widen the
+window to every sum within any of their reaches, and take the first kk of
+their first kk in the window and their first kk in the flanks, so no pair
+is measured twice; their kk-th distance there can only be smaller, so the
+widened window certifies them all. A window and its flanks are each taken
+in index order, so ties still go to the lower index. A matrix with a sum,
+or a sum of absolute values, that is not finite, where the bound gives
+nothing, has every row measured in one window of all rows, and a matrix
+with no columns has every distance 0.
 """
 
 from __future__ import annotations
@@ -86,19 +75,14 @@ from .series import HourlySeries
 # (the distances, the partition, the tie-closure masks), all views of buffers
 # sized for a (_BLOCK_ROWS, n) block, so this bounds peak memory
 _BLOCK_ROWS = 128
-# query rows per distance pass: a window pass subtracts, squares and adds one
-# column at a time into _TILE_ROWS rows of one scratch row per candidate
-# (on a wind block at n = 8760, tiles of 4 to 32 rows took within 13% of 8);
-# the shared-table pass builds one table of squared differences per run of
-# shifted columns, _TILE_ROWS + run width - 1 rows tall, and adds the run's
-# columns from it (tiles of 16 to 64 rows were slower)
+# query rows per distance pass: a pass subtracts, squares and adds one column
+# at a time into a tile of one scratch row per candidate, at least _TILE_ROWS
+# rows and at least _TILE_SIZE entries (on a wind block at n = 8760, tiles of
+# 4 to 32 rows took within 13% of 8; at n = 720, where the windows are
+# narrower, the wind search took 29.4 ms in 8-row tiles, 23.1 ms in tiles of
+# 16384 entries and 23.9 to 24.7 ms in tiles of 8192 to 70080)
 _TILE_ROWS = 8
-# a block whose window would hold more than this share of the rows measures
-# them all with the shared-table kernel; over all n rows of a block in sum
-# order, that kernel took 0.8 (a solar lag-24 or lag-48 embedding, whose
-# consecutive rows often share a block and a tile) to 1.4 (wind lag 48) times
-# as long as the window kernel at n = 8760
-_WINDOW_SHARE = 0.8
+_TILE_SIZE = 16384
 _EPS = np.finfo(float).eps
 # w * _UNDERFLOW bounds what squares flushed to zero, each below 2**-1075,
 # take off sqrt(w) times a distance: sqrt(w) * sqrt(w * 2**-1075) < w * 2**-535
@@ -123,71 +107,24 @@ def _distinct_rows(m: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndar
     the position of its distinct row in that order.
 
     The search order takes the distinct rows by (row sum, first row), so a
-    block holds rows of similar sums, and within each block of
-    ``_BLOCK_ROWS`` by first row, so ``_euclidean`` tiles consecutive rows.
+    block holds rows of similar sums.
     """
     _, first, inverse = np.unique(m, axis=0, return_index=True, return_inverse=True)
     order = np.lexsort((first, sums[first]))
-    order = order[np.lexsort((first[order], np.arange(order.size) // _BLOCK_ROWS))]
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     return first[order], rank[inverse.reshape(m.shape[0])]
 
 
-def _shift_runs(m: np.ndarray) -> list[tuple[int, int]]:
-    """The maximal runs ``(b, L)`` of columns b .. b + L - 1 of ``m`` in which
-    each column equals the one before it moved up a row, ``np.roll(m[:, j - 1], -1)``."""
-    if not m.shape[1]:
-        return []
-    shifted = np.all(m[:, 1:] == np.roll(m[:, :-1], -1, axis=0), axis=0)
-    starts = [0, *(np.flatnonzero(~shifted) + 1).tolist(), m.shape[1]]
-    return [(b, e - b) for b, e in zip(starts, starts[1:])]
-
-
-def _euclidean(
-    wrapped: np.ndarray, runs: list[tuple[int, int]], rows: np.ndarray, out: np.ndarray, scratch: np.ndarray
-) -> None:
-    """``out[r, t]`` = the distance from matrix row ``rows[r]`` to row t, as ``cdist`` sums it.
-
-    ``wrapped[j, v]`` is ``m[v % n, j]`` for v < n + w - 1, C-contiguous;
-    ``runs`` are ``_shift_runs(m)``, ``rows`` increase, and ``scratch`` holds
-    a table for ``_TILE_ROWS`` rows and the widest run.
-    """
-    n = out.shape[1]
-    if not runs:
-        out.fill(0.0)
-        return
-    r = 0
-    while r < rows.size:
-        # the longest stretch of consecutive matrix rows, up to _TILE_ROWS
-        i = rows[r]
-        span = rows[r : r + _TILE_ROWS] - i
-        t = int(np.count_nonzero(span == np.arange(span.size)))
-        acc = out[r : r + t]
-        for b, width in runs:
-            # sq[u, v] = (m[i + u, b] - m[v, b])**2, all indices mod n; the term
-            # of column b + q for rows (i + p, v) is sq[p + q, v + q]
-            h, wide = t + width - 1, n + width - 1
-            sq = scratch[: h * wide].reshape(h, wide)
-            np.subtract(wrapped[b, i : i + h, None], wrapped[b, :wide], out=sq)
-            np.multiply(sq, sq, out=sq)
-            for q in range(width):
-                term = sq[q : q + t, q : q + n]
-                if b + q:
-                    np.add(acc, term, out=acc)
-                else:
-                    np.copyto(acc, term)
-        np.sqrt(acc, out=acc)
-        r += t
-
-
 def _window_euclidean(queries: np.ndarray, candidates: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     """``out[r, c]`` = the distance from row ``queries[r]`` to column c of
     ``candidates`` (one matrix column per row, so (w, C) with w >= 1), as
-    ``cdist`` sums it: per column in order, subtract, square and add."""
-    for r in range(0, queries.shape[0], _TILE_ROWS):
-        acc = out[r : r + _TILE_ROWS]
-        q = queries[r : r + _TILE_ROWS, :, None]
+    ``cdist`` sums it: per column in order, subtract, square and add.
+    ``scratch`` holds at least ``_TILE_ROWS`` rows of C and ``_TILE_SIZE`` entries."""
+    tile = max(_TILE_ROWS, _TILE_SIZE // candidates.shape[1])
+    for r in range(0, queries.shape[0], tile):
+        acc = out[r : r + tile]
+        q = queries[r : r + tile, :, None]
         sq = scratch[: acc.size].reshape(acc.shape)
         np.subtract(q[:, 0], candidates[0], out=acc)
         np.multiply(acc, acc, out=acc)
@@ -215,13 +152,36 @@ def _select(d: np.ndarray, kk: int) -> tuple[np.ndarray, np.ndarray]:
         room = kk - np.count_nonzero(closer, axis=1)[:, None]
         keep = closer | (at & (np.cumsum(at, axis=1, dtype=np.int32) <= room))
         cols[tied] = np.nonzero(keep)[1].reshape(tied.size, kk)
-    vals = np.take_along_axis(d, cols, axis=1)
-    order = np.lexsort((cols, vals))
+    cols.sort(axis=1)
+    return _by_value(cols, np.take_along_axis(d, cols, axis=1))
+
+
+def _by_value(cols: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``cols`` and ``vals``, each row in increasing order of its columns,
+    reordered per row by (value, column): a stable sort of the values (on
+    (128, 100) rows it took 0.09 ms, a ``lexsort`` of the pair 1.0 ms)."""
+    order = np.argsort(vals, axis=1, kind="stable")
     return np.take_along_axis(cols, order, axis=1), np.take_along_axis(vals, order, axis=1)
 
 
+def _measure(
+    m: np.ndarray, rows: np.ndarray, candidates: np.ndarray, kk: int, block: np.ndarray, scratch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``rows``, its first ``kk`` matrix rows among ``candidates``
+    in the order (distance, index), and their distances."""
+    # the candidates in index order, so that ties still go to the lower index
+    window = np.sort(candidates)
+    d = block[: rows.size * window.size].reshape(rows.size, window.size)
+    if m.shape[1]:
+        _window_euclidean(m[rows], np.ascontiguousarray(m[window].T), d, scratch)
+    else:
+        d.fill(0.0)
+    cols, vals = _select(d, kk)
+    return window[cols], vals
+
+
 # a distance or a row sum that overflows is a result (an infinite distance, as
-# cdist gives it, or sums that send the search past its windows), not a fault
+# cdist gives it, or sums that send the search to one window of all rows), not a fault
 @np.errstate(over="ignore", invalid="ignore")
 def nearest_rows(
     matrix: np.ndarray,
@@ -258,10 +218,7 @@ def nearest_rows(
 
     indices = np.empty((n, k), dtype=np.intp)
     distances = np.empty((n, k), dtype=float)
-    runs = _shift_runs(m)
-    wrapped = np.ascontiguousarray(m[np.arange(n + w - 1) % n].T)
-    widest = max((width for _, width in runs), default=1)
-    scratch = np.empty((_TILE_ROWS + widest - 1) * (n + widest - 1))
+    scratch = np.empty(max(_TILE_ROWS * n, _TILE_SIZE))
     block = np.empty(min(_BLOCK_ROWS, reps.size) * n)
     # every row by (sum, index): the rows whose sums lie in an interval are one slice
     by_sum = np.argsort(sums, kind="stable")
@@ -270,68 +227,55 @@ def nearest_rows(
     h = 0.0
     for start in range(0, reps.size, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, reps.size)
-        own_all = members[first[start]:first[stop]]
-        group_all = inverse[own_all] - start
-        left = np.arange(stop - start)
-        for second in (False, True):
-            rows = reps[start + left]
-            s = sums[rows]
-            if not windowed:
-                lo, hi = 0, n
-            elif second:
-                # every sum any uncertified row can reach, so it certifies them all
-                lo = np.searchsorted(sorted_sums, (s - reach).min())
-                hi = np.searchsorted(sorted_sums, (s + reach).max(), "right")
-            else:
-                # the block's sums widened by h, and by at least 2 kk rows on either side
-                lo = max(0, min(np.searchsorted(sorted_sums, s.min() - h),
-                                np.searchsorted(sorted_sums, s.min()) - 2 * kk))
-                hi = min(n, max(np.searchsorted(sorted_sums, s.max() + h, "right"),
-                                np.searchsorted(sorted_sums, s.max(), "right") + 2 * kk))
-            if hi - lo > _WINDOW_SHARE * n:
-                lo, hi = 0, n
-                window = np.arange(n)
-                d = block[: rows.size * n].reshape(rows.size, n)
-                _euclidean(wrapped, runs, rows, d, scratch)
-            else:
-                # the window in index order, so that ties still go to the lower index
-                window = np.sort(by_sum[lo:hi])
-                d = block[: rows.size * window.size].reshape(rows.size, window.size)
-                _window_euclidean(m[rows], np.ascontiguousarray(m[window].T), d, scratch)
-            cols, vals = _select(d, kk)
-            cols = window[cols]
-            done = np.ones(rows.size, dtype=bool)
-            if windowed and not second:
-                # |sum a - sum b| <= sqrt(w) |a - b|, so every row within the
-                # kk-th distance, ties included, has a sum within reach of s;
-                # the reach is widened by the rounding of distances and sums
-                reach = np.sqrt(w) * vals[:, kk - 1] * (1 + 4 * (w + 2) * _EPS) + (
-                    slack[rows] + slack_max + w * _UNDERFLOW)
-                h = 1.05 * np.quantile(reach, 0.9, method="higher")
-                if lo:
-                    done &= sorted_sums[lo - 1] < s - reach
-                if hi < n:
-                    done &= sorted_sums[hi] > s + reach
+        rows = reps[start:stop]
+        s = sums[rows]
+        if not windowed:
+            cols, vals = _measure(m, rows, by_sum, kk, block, scratch)
+        else:
+            # the block's sums widened by h, and by at least 2 kk rows on either side
+            lo = max(0, min(np.searchsorted(sorted_sums, s.min() - h),
+                            np.searchsorted(sorted_sums, s.min()) - 2 * kk))
+            hi = min(n, max(np.searchsorted(sorted_sums, s.max() + h, "right"),
+                            np.searchsorted(sorted_sums, s.max(), "right") + 2 * kk))
+            cols, vals = _measure(m, rows, by_sum[lo:hi], kk, block, scratch)
+            # |sum a - sum b| <= sqrt(w) |a - b|, so every row within the kk-th
+            # distance, ties included, has a sum within reach of s; the reach
+            # is widened by the rounding of distances and sums
+            reach = np.sqrt(w) * vals[:, kk - 1] * (1 + 4 * (w + 2) * _EPS) + (
+                slack[rows] + slack_max + w * _UNDERFLOW)
+            h = 1.05 * np.quantile(reach, 0.9, method="higher")
+            left = np.zeros(rows.size, dtype=bool)
+            if lo:
+                left |= sorted_sums[lo - 1] >= s - reach
+            if hi < n:
+                left |= sorted_sums[hi] <= s + reach
+            if left.any():
+                # the uncertified rows measure the flanks that widen the window
+                # to every sum any of them can reach, which certifies them all;
+                # their first kk there are the first kk of their first kk in
+                # the window and their first kk in the flanks
+                lo2 = min(lo, np.searchsorted(sorted_sums, (s - reach)[left].min()))
+                hi2 = max(hi, np.searchsorted(sorted_sums, (s + reach)[left].max(), "right"))
+                flanks = np.concatenate((by_sum[lo2:lo], by_sum[hi:hi2]))
+                more, dist = _measure(m, rows[left], flanks, min(kk, flanks.size), block, scratch)
+                both = np.hstack((cols[left], more))
+                order = np.argsort(both, axis=1)
+                both, dist = _by_value(np.take_along_axis(both, order, axis=1),
+                                       np.take_along_axis(np.hstack((vals[left], dist)), order, axis=1))
+                cols[left], vals[left] = both[:, :kk], dist[:, :kk]
 
-            # scatter the certified rows: a member and every entry before it
-            # in the shared order are at distance 0, so moving it to the front
-            # or leaving it out keeps the distances in place: a pool's are the
-            # shared ones from column 1 - lead
-            where = np.full(stop - start, -1)
-            where[left[done]] = np.flatnonzero(done)
-            group = where[group_all]
-            own = own_all[group >= 0]
-            group = group[group >= 0]
-            distances[own] = vals[group, 1 - lead : 1 - lead + k]
-            # the shared order skips a member from where the member itself stands
-            shared = cols[group]
-            past_self = np.cumsum(shared == own[:, None], axis=1)[:, : k - lead]
-            indices[own, lead:] = np.take_along_axis(shared, j + past_self, axis=1)
-            if include_self:
-                indices[own, 0] = own
-            if done.all():
-                break
-            left, reach = left[~done], reach[~done]
+        # a member and every entry before it in the shared order are at
+        # distance 0, so moving it to the front or leaving it out keeps the
+        # distances in place: a pool's are the shared ones from column 1 - lead
+        own = members[first[start]:first[stop]]
+        group = inverse[own] - start
+        distances[own] = vals[group, 1 - lead : 1 - lead + k]
+        # the shared order skips a member from where the member itself stands
+        shared = cols[group]
+        past_self = np.cumsum(shared == own[:, None], axis=1)[:, : k - lead]
+        indices[own, lead:] = np.take_along_axis(shared, j + past_self, axis=1)
+        if include_self:
+            indices[own, 0] = own
     return Pools(indices, distances)
 
 

@@ -8,9 +8,8 @@ duplicate rows where the search, which runs once per distinct row, could
 get a row's own place in the shared order wrong. Integer-valued matrices
 cannot show the order in which a distance adds its columns, so the float
 matrices, up to 12 columns wide and of mixed magnitudes, check the distance
-bytes against ``cdist`` through the oracle. Their columns are almost never
-shifted copies of one another, so they take one table per column; the
-embeddings after them take the shared tables of shifted columns. The last
+bytes against ``cdist`` through the oracle, as do the embeddings after
+them, whose columns are shifted copies of one another. The last
 matrices are built against the row-sum windows: equal or overflowing sums,
 subnormals, and ties at the edge of the bound the windows rest on.
 """
@@ -167,11 +166,9 @@ class TestFloatMatrices:
 
 
 class TestEmbeddings:
-    """Embeddings take the kernel's shared tables: every column of a run of
-    shifted columns reads its squared differences from the table of the
-    run's first column. Consecutive offsets from anywhere in [-w, 0] give one
-    run of width w; an unrelated column in the middle or at the end breaks it.
-    With n <= w the wrapped table repeats the column more than once."""
+    """Embeddings at consecutive offsets from anywhere in [-w, 0], plain or
+    with an unrelated column in the middle or at the end; with n <= w an
+    embedding wraps the source more than once."""
 
     ALPHABET = np.array([0.0, -0.0, 1.0, 2.0, 5.0])
 
@@ -199,23 +196,10 @@ class TestEmbeddings:
         rng = np.random.default_rng(seed)
         start = data.draw(st.integers(-width, 0), label="start")
         m = neighbors.embed(HourlySeries(self.values(rng, n, alphabet)), np.arange(start, start + width))
-        if extra == "none":
-            assert neighbors._shift_runs(m) == [(0, width)]
-        else:
+        if extra != "none":
             at = data.draw(st.integers(1, width - 1), label="at") if extra == "middle" and width > 1 else width
             m = np.insert(m, at, self.values(rng, n, alphabet), axis=1)
         assert_stable_sort_pools(m, 1 + int(k_fraction * (limit - 1)), include_self)
-
-    @pytest.mark.parametrize("include_self", [True, False])
-    def test_signed_zero_shift_extends_a_run(self, include_self):
-        # columns 1 and 2 hold -0.0 where the column before them, moved up a
-        # row, holds 0.0: equal under ==, so one run, and squaring drops the
-        # sign that reading them from column 0's table loses
-        m = neighbors.embed(HourlySeries(np.array([0.0, 3.0, 0.0, 1.5, -0.0, 2.0])), np.arange(-1, 2))
-        m[0, 1] = m[5, 2] = -0.0
-        assert np.signbit(m[0, 1]) and not np.signbit(m[1, 0])
-        assert neighbors._shift_runs(m) == [(0, 3)]
-        assert_stable_sort_pools(m, 3, include_self)
 
 
 class TestWindows:
@@ -223,9 +207,8 @@ class TestWindows:
     measures only the candidates whose row sums its window reaches, and
     certifies a row only when the sums just outside lie strictly beyond its
     sum +- sqrt(w) times its kk-th distance, widened by the rounding slack.
-    Blocks of a few rows and a window share that never (1.0) or always (0.0)
-    takes the shared-table kernel put many windows, second windows and
-    fallbacks into matrices of a few dozen rows."""
+    Blocks of a few rows put many windows and flanks into matrices of a few
+    dozen rows."""
 
     FAMILIES = ["permutations", "huge", "tiny", "compensated", "tight", "diagonal"]
     TINY = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-170, -1e-170, 3e-162])
@@ -272,19 +255,17 @@ class TestWindows:
         w=st.integers(1, 6),
         seed=st.integers(0, 2**32 - 1),
         block=st.integers(1, 9),
-        share=st.sampled_from([1.0, 1.0, 0.5, 0.0]),
         include_self=st.booleans(),
         k_fraction=st.floats(0.0, 1.0),
     )
     @settings(max_examples=150, deadline=None)
-    def test_fuzz_windows(self, family, n, w, seed, block, share, include_self, k_fraction):
+    def test_fuzz_windows(self, family, n, w, seed, block, include_self, k_fraction):
         limit = n if include_self else n - 1
         if limit < 1:
             return
         m = self.matrix(family, np.random.default_rng(seed), n, w)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(neighbors, "_BLOCK_ROWS", block)
-            mp.setattr(neighbors, "_WINDOW_SHARE", share)
             assert_stable_sort_pools(m, 1 + int(k_fraction * (limit - 1)), include_self)
 
     @pytest.mark.parametrize("include_self", [True, False])
@@ -294,13 +275,12 @@ class TestWindows:
         # by its lower index; the rows between them in sum are far away. The
         # bound |sum a - sum b| <= sqrt(2) |a - b| holds with equality, and
         # sqrt(2) times the computed distance rounds below 2a, so a reach
-        # without its rounding slack leaves both outside the second window
+        # without its rounding slack leaves both outside the widened window
         a = 1.4935715599433963
         assert np.sqrt(2) * np.sqrt(a * a + a * a) < 2 * a
         far = [[1e3 + s, -1e3] for s in np.linspace(0.1 * a, 1.9 * a, 8)]
         m = np.array([[a, a], [-a, -a], [-a, -a], [0.0, 0.0], *far])
         monkeypatch.setattr(neighbors, "_BLOCK_ROWS", block)
-        monkeypatch.setattr(neighbors, "_WINDOW_SHARE", 1.0)
         assert_stable_sort_pools(m, 2 - include_self, include_self)
 
     @given(
@@ -315,7 +295,6 @@ class TestWindows:
         m = self.matrix("tight", np.random.default_rng(seed), 12, w)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(neighbors, "_BLOCK_ROWS", block)
-            mp.setattr(neighbors, "_WINDOW_SHARE", 1.0)
             assert_stable_sort_pools(m, 2 - include_self, include_self)
 
     @pytest.mark.parametrize("include_self", [True, False])
@@ -323,7 +302,6 @@ class TestWindows:
     def test_k_at_its_limit_in_small_blocks(self, monkeypatch, family, include_self):
         # n <= 2 kk: every window holds every row
         monkeypatch.setattr(neighbors, "_BLOCK_ROWS", 2)
-        monkeypatch.setattr(neighbors, "_WINDOW_SHARE", 1.0)
         m = self.matrix(family, np.random.default_rng(7), 13, 3)
         for k in (12, 13) if include_self else (11, 12):
             assert_stable_sort_pools(m, k, include_self)
