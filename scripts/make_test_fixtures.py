@@ -1,54 +1,25 @@
 """Regenerate the bundled synthetic test fixtures (tests/data/*.csv).
 
-Deterministic; the checked-in CSVs were produced by this exact script.
+They are the benchmark's inputs at 60 days (1440 hours) and seed 20240901,
+written by ``perfbench/fixtures.py``, so the two cannot drift apart.
 Run from the repo root: python3 scripts/make_test_fixtures.py
 """
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
-import numpy as np
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-from synthseries.series import HourlySeries, write_csv
+import fixtures  # noqa: E402
 
-OUT = Path(__file__).resolve().parent.parent / "tests" / "data"
-DAYS = 60
-N = DAYS * 24
-
-
-def solar_like(rng: np.random.Generator) -> np.ndarray:
-    hours = np.arange(N) % 24
-    shape = np.clip(np.sin(np.pi * (hours - 6) / 12.0), 0.0, None)
-    daily = 800.0 + 300.0 * np.sin(2 * np.pi * np.arange(N) / (24 * 30)) + rng.normal(0, 60, N)
-    vals = shape * np.clip(daily, 0, None) * (1 + rng.normal(0, 0.08, N))
-    vals[shape == 0] = 0.0
-    return np.clip(vals, 0.0, None)
-
-
-def wind_like(rng: np.random.Generator) -> np.ndarray:
-    x = np.empty(N)
-    x[0] = 0.0
-    eps = rng.normal(0, 0.35, N)
-    for i in range(1, N):
-        x[i] = 0.92 * x[i - 1] + eps[i]
-    return np.clip(3000.0 + 1500.0 * x, 50.0, None)
-
-
-def load_like(rng: np.random.Generator) -> np.ndarray:
-    hours = np.arange(N) % 24
-    diurnal = 1.0 + 0.18 * np.sin(2 * np.pi * (hours - 9) / 24.0)
-    return 90000.0 * diurnal * (1 + rng.normal(0, 0.015, N))
+OUT = ROOT / "tests" / "data"
 
 
 def main() -> None:
-    OUT.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(20240901)
-    for name, maker in [("solar", solar_like), ("wind", wind_like), ("load", load_like)]:
-        vals = np.round(maker(rng), 2)
-        write_csv(HourlySeries(vals, label=name), OUT / f"synthetic_{name}.csv")
-    nuclear = np.round(np.full(N, 30000.0) + rng.normal(0, 150, N), 2)
-    write_csv(HourlySeries(nuclear, label="nuclear"), OUT / "synthetic_nuclear.csv")
+    fixtures.write_inputs(OUT, 1440, 20240901)
     print(f"wrote fixtures to {OUT}")
 
 

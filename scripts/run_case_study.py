@@ -16,7 +16,7 @@ from pathlib import Path
 from synthseries.adequacy import VreWeights, adequacy, combine_vre, ensemble_adequacy, shortfall_histogram
 from synthseries.nnlb import generate_nnlb_batch
 from synthseries.sbb import generate_sbb_batch
-from synthseries.series import load_csv
+from synthseries.series import load_csv, write_rows
 from synthseries.stats import ensemble_summary_table, write_table_csv
 
 DEFAULT_DATA = Path(__file__).resolve().parent.parent / "data" / "pjm"
@@ -28,7 +28,6 @@ def main() -> int:
     parser.add_argument("--out-dir", default="case_study_out")
     parser.add_argument("--B", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=20210101)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     data = Path(args.data_dir)
@@ -39,13 +38,13 @@ def main() -> int:
     ensembles = {}
     for name, sash, p in (("solar", 2, 20), ("wind", 4, 100)):
         src = series[name]
-        ensembles[name] = generate_sbb_batch(src, sash, p, args.B, args.seed, threads=args.threads)
+        ensembles[name] = generate_sbb_batch(src, sash, p, args.B, args.seed)
         table = ensemble_summary_table(ensembles[name], src)
         write_table_csv(table, out / f"sbb_{name}_summary.csv")
         print(f"SBB {name} (sash={sash}, p={p}): mean-of-means "
               f"{ensembles[name].values.mean(axis=1).mean():.2f} vs original {src.mean:.2f}")
 
-    nnlb = generate_nnlb_batch(series["solar"], 5, 20, args.B, args.seed, threads=args.threads)
+    nnlb = generate_nnlb_batch(series["solar"], 5, 20, args.B, args.seed)
     write_table_csv(ensemble_summary_table(nnlb, series["solar"]), out / "nnlb_solar_summary.csv")
     print(f"NNLB solar (l=5, k=20): mean-of-means {nnlb.values.mean(axis=1).mean():.2f}")
 
@@ -61,10 +60,7 @@ def main() -> int:
     days = sorted(d for d in hist for _ in range(hist[d]))
     print(f"synthetic shortfall days over {args.B} pairs: min {days[0]}, "
           f"median {days[len(days) // 2]}, max {days[-1]}")
-    with (out / "shortfall_histogram.csv").open("w", encoding="utf-8") as fh:
-        fh.write("shortfall_days,count\n")
-        for d in sorted(hist):
-            fh.write(f"{d},{hist[d]}\n")
+    write_rows(out / "shortfall_histogram.csv", [["shortfall_days", "count"], *hist.items()])
     print(f"tables written to {out}/")
     return 0
 

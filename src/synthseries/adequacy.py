@@ -8,17 +8,16 @@ whose total generation falls below a stated fraction of that day's demand.
 
 from __future__ import annotations
 
-import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .ensemble import Ensemble
 from .errors import ConfigError, EmptyGrid, LengthMismatch, OutOfRange, ValidationError, ZeroLoad
-from .series import HourlySeries, chunk_sums
+from .series import HourlySeries, chunk_sums, write_rows
 
 
 @dataclass(frozen=True)
@@ -45,10 +44,15 @@ class AdequacyResult:
         }
 
 
-def _check_lengths(*series: HourlySeries) -> None:
+def _check_lengths(*series: HourlySeries | np.ndarray) -> None:
     lengths = {len(s) for s in series}
     if len(lengths) != 1:
         raise LengthMismatch(f"series lengths differ: {sorted(lengths)}")
+
+
+def _check_fraction(shortfall_fraction: float) -> None:
+    if not math.isfinite(shortfall_fraction):
+        raise OutOfRange(f"shortfall fraction must be finite, got {shortfall_fraction}")
 
 
 def combine_vre(solar: HourlySeries, wind: HourlySeries, weights: VreWeights) -> HourlySeries:
@@ -56,8 +60,9 @@ def combine_vre(solar: HourlySeries, wind: HourlySeries, weights: VreWeights) ->
     return HourlySeries(weights.solar * solar.values + weights.wind * wind.values, label="vre")
 
 
-def _supplied_curtailed(vre: np.ndarray, nuclear: np.ndarray, load: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Hourly generation, and the fractions of load supplied and of VRE curtailed."""
+def _adequacy(vre: np.ndarray, nuclear: np.ndarray, load: np.ndarray, fraction: float | None) -> AdequacyResult:
+    """Adequacy of one VRE vector of the length of ``nuclear`` and ``load``;
+    a ``fraction`` of None counts no shortfall days (a window of part days)."""
     if load.sum() <= 0:
         raise ZeroLoad("load energy is zero")
     gen = nuclear + vre
@@ -66,7 +71,8 @@ def _supplied_curtailed(vre: np.ndarray, nuclear: np.ndarray, load: np.ndarray) 
     supplied = float(np.minimum(gen, load).sum() / load.sum())
     vre_total = float(vre.sum())
     surplus = float(np.maximum(gen - load, 0.0).sum())
-    return gen, supplied, surplus / vre_total if vre_total > 0 else 0.0
+    shortfall = 0 if fraction is None else int(np.sum(chunk_sums(gen, 24) < fraction * chunk_sums(load, 24)))
+    return AdequacyResult(supplied, surplus / vre_total if vre_total > 0 else 0.0, shortfall)
 
 
 def adequacy(
@@ -76,13 +82,8 @@ def adequacy(
     shortfall_fraction: float = 0.9,
 ) -> AdequacyResult:
     _check_lengths(vre, nuclear, load)
-    if not math.isfinite(shortfall_fraction):
-        raise OutOfRange(f"shortfall fraction must be finite, got {shortfall_fraction}")
-    gen, supplied, curtailed = _supplied_curtailed(vre.values, nuclear.values, load.values)
-    gen_daily = chunk_sums(gen, 24)
-    load_daily = chunk_sums(load.values, 24)
-    shortfall = int(np.sum(gen_daily < shortfall_fraction * load_daily))
-    return AdequacyResult(supplied, curtailed, shortfall)
+    _check_fraction(shortfall_fraction)
+    return _adequacy(vre.values, nuclear.values, load.values, shortfall_fraction)
 
 
 def weight_sweep(
@@ -102,17 +103,18 @@ def weight_sweep(
     """
     if not math.isfinite(curtailment_cap):
         raise OutOfRange(f"curtailment cap must be finite, got {curtailment_cap}")
-    ws = list(solar_weights)
     ww = list(wind_weights)
-    if not ws or not ww:
+    grid = [VreWeights(s, w) for s in solar_weights for w in ww]
+    if not grid:
         raise EmptyGrid("weight grid must be non-empty on both axes")
+    _check_lengths(solar, wind, nuclear, load)
+    _check_fraction(shortfall_fraction)
     results: list[tuple[VreWeights, AdequacyResult]] = []
-    for s in ws:
-        for w in ww:
-            weights = VreWeights(s, w)
-            res = adequacy(combine_vre(solar, wind, weights), nuclear, load, shortfall_fraction)
-            if res.percent_curtailed <= curtailment_cap:
-                results.append((weights, res))
+    for weights in grid:
+        vre = weights.solar * solar.values + weights.wind * wind.values
+        res = _adequacy(vre, nuclear.values, load.values, shortfall_fraction)
+        if res.percent_curtailed <= curtailment_cap:
+            results.append((weights, res))
     results.sort(key=lambda t: (-t[1].percent_supplied, t[0].solar + t[0].wind))
     return results
 
@@ -135,14 +137,16 @@ def ensemble_adequacy(
     B = pairs if pairs is not None else max(len(solar_ensemble), len(wind_ensemble))
     if B < 1:
         raise OutOfRange(f"pairs must be >= 1, got {B}")
+    solar, wind = solar_ensemble.values, wind_ensemble.values
+    _check_lengths(solar[0], wind[0], nuclear, load)
+    _check_fraction(shortfall_fraction)
     rng = np.random.default_rng(pairing_seed)
-    si = rng.integers(0, len(solar_ensemble), size=B)
-    wi = rng.integers(0, len(wind_ensemble), size=B)
-    out = []
-    for a, b in zip(si, wi):
-        vre = combine_vre(HourlySeries(solar_ensemble.values[a]), HourlySeries(wind_ensemble.values[b]), weights)
-        out.append(adequacy(vre, nuclear, load, shortfall_fraction))
-    return out
+    si = rng.integers(0, len(solar), size=B)
+    wi = rng.integers(0, len(wind), size=B)
+    return [
+        _adequacy(weights.solar * solar[a] + weights.wind * wind[b], nuclear.values, load.values, shortfall_fraction)
+        for a, b in zip(si, wi)
+    ]
 
 
 def seasonal_window(
@@ -170,25 +174,17 @@ def windowed_adequacy(
     """Supplied/curtailed over a sub-window only (e.g. a seasonal 5-day slice)."""
     v, nuc, ld = seasonal_window([vre, nuclear, load], start_hour, duration_hours)
     if duration_hours % 24:
-        # shortfall days are defined on whole days; ragged windows only
-        # report the supplied/curtailed fractions
-        _, supplied, curtailed = _supplied_curtailed(v.values, nuc.values, ld.values)
-        return AdequacyResult(supplied, curtailed, 0)
+        # shortfall days are defined on whole days; ragged windows, which
+        # may be shorter than one, only report the supplied/curtailed fractions
+        return _adequacy(v.values, nuc.values, ld.values, None)
     return adequacy(v, nuc, ld, shortfall_fraction)
 
 
 def sweep_table_csv(results: list[tuple[VreWeights, AdequacyResult]], path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["w_s", "w_w", "percent_supplied", "percent_curtailed", "shortfall_days"])
-        for w, r in results:
-            writer.writerow([w.solar, w.wind, repr(r.percent_supplied), repr(r.percent_curtailed), r.shortfall_days])
+    rows = ([w.solar, w.wind, repr(r.percent_supplied), repr(r.percent_curtailed), r.shortfall_days]
+            for w, r in results)
+    write_rows(path, [["w_s", "w_w", "percent_supplied", "percent_curtailed", "shortfall_days"], *rows])
 
 
 def shortfall_histogram(results: list[AdequacyResult]) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for r in results:
-        hist[r.shortfall_days] = hist.get(r.shortfall_days, 0) + 1
-    return dict(sorted(hist.items()))
+    return dict(sorted(Counter(r.shortfall_days for r in results).items()))

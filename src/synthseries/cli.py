@@ -12,7 +12,6 @@ validation error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -36,7 +35,7 @@ from .kernels import make_kernel
 from .nnlb import generate_nnlb_batch
 from .perturb import ClampPolicy, OffsetDistribution, altered_difference, direction_audit, incremental_select
 from .sbb import generate_sbb_batch
-from .series import HourlySeries, load_csv, write_csv
+from .series import HourlySeries, load_csv, write_csv, write_json, write_rows
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -139,11 +138,6 @@ def _load_series(cfg: dict[str, Any], key: str, value_column: str) -> HourlySeri
     return load_csv(path, value_column=value_column)
 
 
-def _write_json(obj: Any, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 # --- subcommands ----------------------------------------------------------
 
 
@@ -220,9 +214,8 @@ def cmd_perturb(cfg: dict[str, Any], threads: int) -> int:
         threshold_fraction=_get(cfg, "threshold_fraction", float, 0.05),
     )
     # written only now, so a config error above leaves no output behind
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(altered.values, out_dir / "altered.csv")
-    _write_json(audit, out_dir / "audit.json")
+    write_json(audit, out_dir / "audit.json")
     manifest = {
         "method": altered.method,
         "params": altered.params,
@@ -230,7 +223,7 @@ def cmd_perturb(cfg: dict[str, Any], threads: int) -> int:
         "source_checksums": list(altered.source_checksums),
         "config": cfg,
     }
-    _write_json(manifest, out_dir / "manifest.json")
+    write_json(manifest, out_dir / "manifest.json")
     print(f"wrote altered series and audit to {out_dir}")
     return EXIT_OK
 
@@ -258,7 +251,7 @@ def cmd_analyze(cfg: dict[str, Any], threads: int) -> int:
     # written only now, so a config error above leaves no output behind
     st.write_table_csv(table, out_dir / "summary_table.csv")
     st.histogram_csv(report, out_dir / "exceedance_histogram.csv")
-    _write_json(
+    write_json(
         {
             "statistic": statistic,
             "chunk_hours": length,
@@ -292,7 +285,7 @@ def cmd_vre(cfg: dict[str, Any], threads: int) -> int:
         weights = VreWeights(_require(w, "solar", float), _require(w, "wind", float))
         vre = combine_vre(solar, wind, weights)
         result = compute_adequacy(vre, nuclear, load, fraction)
-        writes.append(partial(_write_json, {"weights": w, **result.as_dict()}, out_dir / "adequacy.json"))
+        writes.append(partial(write_json, {"weights": w, **result.as_dict()}, out_dir / "adequacy.json"))
 
     if "sweep" in cfg:
         sw = _section(cfg, "sweep")
@@ -318,7 +311,7 @@ def cmd_vre(cfg: dict[str, Any], threads: int) -> int:
         )
         hist = shortfall_histogram(results)
         writes.append(partial(
-            _write_json,
+            write_json,
             {
                 "weights": w,
                 # int keys: sort_keys orders the days as numbers, before
@@ -329,21 +322,13 @@ def cmd_vre(cfg: dict[str, Any], threads: int) -> int:
             },
             out_dir / "ensemble_adequacy.json",
         ))
-        writes.append(partial(_write_histogram_csv, hist, out_dir / "shortfall_histogram.csv"))
+        rows = [["shortfall_days", "count"], *hist.items()]
+        writes.append(partial(write_rows, out_dir / "shortfall_histogram.csv", rows))
 
     for write in writes:
         write()
     print(f"wrote case-study outputs to {out_dir}")
     return EXIT_OK
-
-
-def _write_histogram_csv(hist: dict[int, int], path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["shortfall_days", "count"])
-        for k, v in hist.items():
-            writer.writerow([k, v])
 
 
 # --- entry point -----------------------------------------------------------
@@ -353,17 +338,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="synthseries")
     parser.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("generate", "generate a bootstrap ensemble from one observed series"),
-        ("perturb", "directionally alter a series (incremental / altered-difference)"),
-        ("analyze", "summary tables and exceedance distributions for an ensemble"),
-        ("vre", "weighted-VRE adequacy case study"),
+    # each subcommand takes only the overrides of config keys it reads
+    for name, helptext, keys in [
+        ("generate", "generate a bootstrap ensemble from one observed series", ("seed", "B")),
+        ("perturb", "directionally alter a series (incremental / altered-difference)", ("seed",)),
+        ("analyze", "summary tables and exceedance distributions for an ensemble", ()),
+        ("vre", "weighted-VRE adequacy case study", ()),
     ]:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("config", help="path to JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--output-dir", default=None, help="override config output_dir")
-        p.add_argument("--B", type=int, default=None, help="override ensemble size")
+        p.add_argument("--output-dir", default=argparse.SUPPRESS, help="override config output_dir")
+        for key in keys:
+            p.add_argument(f"--{key}", type=int, default=argparse.SUPPRESS, help=f"override config {key}")
     return parser
 
 
@@ -379,12 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if args.output_dir is not None:
-            cfg["output_dir"] = args.output_dir
-        if args.B is not None:
-            cfg["B"] = args.B
+        cfg.update((key, getattr(args, key)) for key in ("seed", "output_dir", "B") if hasattr(args, key))
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         return _COMMANDS[args.command](cfg, args.threads)

@@ -11,7 +11,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ChecksumMismatch, ConfigError, IOErrorSS, LengthMismatch, MalformedManifest, ValidationError
-from .series import HourlySeries, _bare_body, _bare_column, _format_cells, _read_text, load_csv
+from .series import HourlySeries, _bare_body, _bare_column, _format_cells, _read_text, load_csv, write_json
 
 MANIFEST_NAME = "manifest.json"
 
@@ -102,9 +102,7 @@ class Ensemble:
             "series_files": names,
             "series_checksums": checksums,
         }
-        (directory / MANIFEST_NAME).write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(manifest, directory / MANIFEST_NAME)
         return directory
 
     @classmethod

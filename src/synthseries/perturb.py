@@ -124,9 +124,13 @@ def _norm_ppf(p: float) -> float:
         q = math.sqrt(-2 * math.log(1 - p))
         x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
             ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
-    # Halley refinement
+    # Halley refinement; below p of about 1e-310, exp(x * x / 2) overflows, and
+    # p, a subnormal, holds too few bits for the step to improve on x
     e = _norm_cdf(x) - p
-    u = e * math.sqrt(2 * math.pi) * math.exp(x * x / 2.0)
+    try:
+        u = e * math.sqrt(2 * math.pi) * math.exp(x * x / 2.0)
+    except OverflowError:
+        return x
     return x - u / (1 + x * u / 2)
 
 

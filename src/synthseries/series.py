@@ -1,4 +1,4 @@
-"""Hourly series data model: circular indexing, block sums, CSV in/out.
+"""Hourly series data model: circular indexing, block sums, CSV in/out, JSON out.
 
 Series are immutable after construction and safe to share across threads.
 Indexing is 0-based internally; the time series is treated as circular,
@@ -10,9 +10,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -190,22 +192,33 @@ def _parse_value(rownum: int, cell: str) -> float:
 
 
 def write_csv(series: HourlySeries, path: str | Path) -> None:
-    """Write ``timestamp,value`` (or bare ``value``) at full float precision.
-
-    The file is built as one string and written in one call: the bytes
-    ``csv.writer`` writes with ``repr(float(v))`` cells and CRLF rows.
+    """Write ``timestamp,value`` (or bare ``value``) at full float precision:
+    the bytes ``csv.writer`` writes with ``repr(float(v))`` cells and CRLF
+    rows. A bare column is built as one string and written in one call.
     """
     cells = _format_cells(series.values, {}).tolist()
     if series.timestamps is not None:
         # timestamps are free text that may need quoting
-        buf = io.StringIO(newline="")
-        csv.writer(buf).writerows([("timestamp", "value"), *zip(series.timestamps, cells)])
-        body = buf.getvalue().encode("utf-8")
-    else:
-        body = _bare_body(cells)
+        write_rows(path, [("timestamp", "value"), *zip(series.timestamps, cells)])
+        return
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(body)
+    path.write_bytes(_bare_body(cells))
+
+
+def write_rows(path: str | Path, rows: Iterable[Sequence[Any]]) -> None:
+    """Write ``rows`` with ``csv.writer`` (``str`` of each cell, CRLF rows)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def write_json(obj: Any, path: str | Path) -> None:
+    """Write ``obj`` as indented JSON with sorted keys and a final newline."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _format_cells(values: np.ndarray, reprs: dict[int, str]) -> np.ndarray:

@@ -9,17 +9,14 @@ with mass 1/B each.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .ensemble import Ensemble
 from .errors import ConfigError, LengthMismatch, SeriesTooShort
-from .series import HourlySeries, chunk_sums
+from .series import HourlySeries, chunk_sums, write_rows
 
 
 @dataclass(frozen=True)
@@ -211,23 +208,13 @@ def ensemble_summary_table(
 
 
 def write_table_csv(table: dict[str, dict[str, float]], path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    cols: Sequence[str] = list(next(iter(table.values())).keys())
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["Description", *cols])
-        for row, entry in table.items():
-            writer.writerow([row, *[repr(entry[c]) for c in cols]])
+    cols = list(next(iter(table.values())))
+    rows = ([row, *(repr(entry[c]) for c in cols)] for row, entry in table.items())
+    write_rows(path, [["Description", *cols], *rows])
 
 
 def histogram_csv(report: ExceedanceReport, path, bins: int = 30) -> None:
     """Emit bin edges/counts for external plotting."""
     counts, edges = np.histogram(report.values, bins=bins)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_left", "bin_right", "count"])
-        for left, right, c in zip(edges[:-1], edges[1:], counts):
-            writer.writerow([repr(float(left)), repr(float(right)), int(c)])
+    rows = ([repr(float(left)), repr(float(right)), int(c)] for left, right, c in zip(edges[:-1], edges[1:], counts))
+    write_rows(path, [["bin_left", "bin_right", "count"], *rows])

@@ -14,9 +14,15 @@ from synthseries.adequacy import (
     weight_sweep,
     windowed_adequacy,
 )
+from synthseries.ensemble import Ensemble
 from synthseries.errors import ConfigError, EmptyGrid, LengthMismatch, OutOfRange, ValidationError, ZeroLoad
 from synthseries.sbb import generate_sbb_batch
 from synthseries.series import HourlySeries
+
+
+def matrix_ensemble(values) -> Ensemble:
+    return Ensemble(values=np.asarray(values, dtype=float), method="sbb", config={}, master_seed=0,
+                    source_checksum="")
 
 
 class TestCombineVre:
@@ -133,6 +139,28 @@ class TestWeightSweep:
         supplied = [r.percent_supplied for _, r in results]
         assert supplied == sorted(supplied, reverse=True)
 
+    def test_equals_adequacy_of_each_grid_point(self, rng):
+        load = HourlySeries(np.abs(rng.normal(100, 20, size=240)) + 50)
+        solar = HourlySeries(np.abs(rng.normal(40, 30, size=240)))
+        wind = HourlySeries(np.abs(rng.normal(40, 30, size=240)))
+        nuc = HourlySeries(np.full(240, 30.0))
+        results = weight_sweep(solar, wind, nuc, load, 1.0, [0, 0.5, 2], [1, 3.25], shortfall_fraction=0.95)
+        assert len(results) == 6
+        for weights, res in results:
+            assert res == adequacy(combine_vre(solar, wind, weights), nuc, load, 0.95)
+
+    @pytest.mark.parametrize("short", range(4))
+    def test_series_of_another_length(self, short):
+        series = [HourlySeries(np.ones(48 if i == short else 72)) for i in range(4)]
+        with pytest.raises(LengthMismatch):
+            weight_sweep(*series, 0.5, [1], [1])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_vre_that_overflows_is_validation_error(self):
+        s = HourlySeries(np.full(48, 1e308))
+        with pytest.raises(ValidationError):
+            weight_sweep(s, s, HourlySeries(np.zeros(48)), HourlySeries(np.ones(48)), 0.5, [1], [1])
+
     def test_supplied_monotone_in_each_weight(self, rng):
         load = HourlySeries(np.abs(rng.normal(100, 20, size=240)) + 50)
         solar = HourlySeries(np.abs(rng.normal(10, 5, size=240)))
@@ -168,6 +196,39 @@ class TestEnsembleAdequacy:
         with pytest.raises(OutOfRange):
             ensemble_adequacy(se, se, nuclear_fixture, load_fixture, VreWeights(2, 2), pairing_seed=5, pairs=pairs)
 
+    def test_equals_adequacy_of_each_pair(self, solar_fixture, wind_fixture, nuclear_fixture, load_fixture):
+        se = generate_sbb_batch(solar_fixture, 2, 5, B=4, master_seed=1)
+        we = generate_sbb_batch(wind_fixture, 2, 5, B=3, master_seed=2)
+        weights = VreWeights(2.5, 3)
+        res = ensemble_adequacy(se, we, nuclear_fixture, load_fixture, weights, pairing_seed=9, pairs=7,
+                                shortfall_fraction=0.95)
+        rng = np.random.default_rng(9)
+        pairs = zip(rng.integers(0, 4, size=7), rng.integers(0, 3, size=7))
+        assert res == [
+            adequacy(combine_vre(HourlySeries(se.values[a]), HourlySeries(we.values[b]), weights),
+                     nuclear_fixture, load_fixture, 0.95)
+            for a, b in pairs
+        ]
+
+    @pytest.mark.parametrize("short", ["solar", "wind", "nuclear", "load"])
+    def test_member_or_series_of_another_length(self, short):
+        n = {name: 48 if name == short else 72 for name in ("solar", "wind", "nuclear", "load")}
+        with pytest.raises(LengthMismatch):
+            ensemble_adequacy(
+                matrix_ensemble(np.ones((2, n["solar"]))), matrix_ensemble(np.ones((2, n["wind"]))),
+                HourlySeries(np.ones(n["nuclear"])), HourlySeries(np.ones(n["load"])), VreWeights(1, 1), pairing_seed=3,
+            )
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_pair_that_overflows_is_validation_error(self):
+        # every member is finite; only the weighted sum of the pair is not
+        solar = matrix_ensemble(np.full((2, 48), 1e308))
+        wind = matrix_ensemble(np.ones((2, 48)))
+        load = HourlySeries(np.ones(48))
+        assert ensemble_adequacy(solar, wind, load, load, VreWeights(1, 1), pairing_seed=3)
+        with pytest.raises(ValidationError):
+            ensemble_adequacy(solar, wind, load, load, VreWeights(2, 1), pairing_seed=3)
+
 
 class TestSeasonalWindow:
     def test_full_window_equals_annual(self, solar_fixture, wind_fixture, nuclear_fixture, load_fixture):
@@ -186,6 +247,11 @@ class TestSeasonalWindow:
         assert ragged.percent_supplied == sliced.percent_supplied
         assert ragged.percent_curtailed == sliced.percent_curtailed
         assert ragged.shortfall_days == 0
+
+    def test_window_shorter_than_a_day(self, solar_fixture, wind_fixture, nuclear_fixture, load_fixture):
+        vre = combine_vre(solar_fixture, wind_fixture, VreWeights(3, 2))
+        res = windowed_adequacy(vre, nuclear_fixture, load_fixture, 10, 5)
+        assert res.shortfall_days == 0 and 0 < res.percent_supplied <= 1
 
     def test_out_of_range(self, solar_fixture):
         with pytest.raises(OutOfRange):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synthseries
@@ -151,6 +151,26 @@ class TestPerturb:
             "output_dir": str(tmp_path / "x"),
         })
         assert main(["perturb", cfg]) == EXIT_IO
+
+    @pytest.mark.parametrize("below", [5e-324, 1e-315])
+    def test_subnormal_below_probability(self, tmp_path, below):
+        # the quantile's refinement step overflows at such p, so it must be skipped, not raised
+        out = tmp_path / "alt"
+        cfg = write_config(tmp_path, {
+            "input": WIND, "method": "incremental", "seed": 3,
+            "distribution": {"kind": "normal", "mean": 25, "std": 25, "below_probability": below},
+            "output_dir": str(out),
+        })
+        assert main(["perturb", cfg]) == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["params"]["below_probability"] == below
+
+    def test_seed_override(self, tmp_path):
+        cfg = {"input": WIND, "method": "incremental", "distribution": {"kind": "normal", "std": 25}}
+        seeded = write_config(tmp_path, {**cfg, "seed": 4, "output_dir": str(tmp_path / "a")})
+        assert main(["perturb", seeded]) == EXIT_OK
+        overridden = write_config(tmp_path, {**cfg, "seed": 3, "output_dir": str(tmp_path / "unused")})
+        assert main(["perturb", overridden, "--seed", "4", "--output-dir", str(tmp_path / "b")]) == EXIT_OK
+        assert (tmp_path / "a" / "altered.csv").read_bytes() == (tmp_path / "b" / "altered.csv").read_bytes()
 
 
 class TestAnalyze:
@@ -397,6 +417,27 @@ class TestExitCodes:
         assert main(["generate", cfg]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag", [
+        ("vre", "--seed"), ("vre", "--B"), ("analyze", "--seed"), ("analyze", "--B"), ("perturb", "--B"),
+    ])
+    def test_override_of_a_key_the_command_does_not_read_is_usage_error(self, tmp_path, capsys, small_ensembles,
+                                                                         command, flag):
+        # a flag for a key the command never reads would be ignored silently
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, self._config(command, small_ensembles[0], out))
+        with pytest.raises(SystemExit) as exit_:
+            main([command, cfg, flag, "3"])
+        assert exit_.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+        assert_nothing_written(out)
+
+    @pytest.mark.parametrize("command", ["analyze", "vre"])
+    def test_output_dir_override(self, tmp_path, small_ensembles, command):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, self._config(command, small_ensembles[0], tmp_path / "unused"))
+        assert main([command, cfg, "--output-dir", str(out)]) == EXIT_OK
+        assert any(out.iterdir()) and not (tmp_path / "unused").exists()
+
     def test_negative_seed_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, {"input": SOLAR, "method": "sbb", "params": {"sash": 2, "p": 4}, "B": 1,
                                       "seed": -1, "output_dir": str(tmp_path / "x")})
@@ -608,6 +649,8 @@ PERTURB_CONFIGS = {
     "distribution.below_probability", "clamp.alpha_max", "clamp.alpha_min", "alpha", "delta_nonneg",
     "result_nonneg", "audit_against", "chunk_hours", "threshold_fraction",
 ]))
+@example(method="incremental", odd={"distribution.below_probability": 5e-324})
+@example(method="incremental", odd={"distribution.below_probability": 1e-315})
 @settings(max_examples=60, deadline=None)
 def test_fuzzed_perturb_config_exits_with_a_documented_code(tmp_path_factory, method, odd):
     tmp_path = tmp_path_factory.mktemp("fuzz")

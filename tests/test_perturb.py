@@ -57,6 +57,14 @@ class TestNormalBelowProbability:
     def test_quantile_matches_bisection_oracle(self, p):
         assert abs(_norm_ppf(p) - bisect_norm_ppf(p)) < 1e-8
 
+    # quantiles of the doubles 1e-315 and 5e-324 (the smallest subnormal),
+    # found in log space at 60 digits with mpmath; the Halley step's
+    # exp(x * x / 2) overflows there, and the rational tail alone is this close
+    @pytest.mark.parametrize("p, quantile", [(1e-315, -37.967300351067358), (5e-324, -38.467405617144346)])
+    def test_subnormal_probability_has_a_finite_quantile(self, p, quantile):
+        assert abs(_norm_ppf(p) - quantile) < 1e-6
+        assert normal_below_probability(2.0, p) == 2.0 * _norm_ppf(p)
+
 
 class TestIncrementalSelect:
     def test_zero_offsets_identity(self, rng):
