@@ -194,6 +194,9 @@ def cmd_perturb(cfg: dict[str, Any], threads: int) -> int:
         altered = incremental_select(source, dist, clamp, seed)
         audit_source = source
     elif method == "altered_difference":
+        # the method draws nothing, so a seed would be recorded but never used
+        if "seed" in cfg:
+            raise ConfigError("'seed' is not used by method 'altered_difference'; remove it")
         high = _load_series(cfg, "high", value_column)
         low = _load_series(cfg, "low", value_column)
         altered = altered_difference(

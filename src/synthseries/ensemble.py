@@ -4,20 +4,20 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from .errors import ChecksumMismatch, ConfigError, IOErrorSS, LengthMismatch, MalformedManifest, ValidationError
-from .series import HourlySeries, _bare_body, _bare_column, _format_cells, _read_text, load_csv, write_json
+from .series import HourlySeries, _bare_body, _bare_column, _cell_text, _format_cells, _read_text, load_csv, write_json
 
 MANIFEST_NAME = "manifest.json"
 
-# members are formatted in runs of about this many values: one np.unique per
-# run finds the values the run shares, and a save's temporaries stay at a few
-# MB, where one over a whole (2000, 720) ensemble would take about 35 MB
+# members are formatted in runs of about this many values, so that a save's
+# temporaries stay at a few MB: one np.unique over a whole (2000, 720)
+# ensemble of values alone would take about 35 MB
 _RUN_VALUES = 1 << 16
 
 # recorded in every manifest in place of a per-series seed list
@@ -42,7 +42,9 @@ def child_rng(master_seed: int, series_index: int) -> np.random.Generator:
 class Ensemble:
     """B synthetic series plus the provenance needed to regenerate them.
 
-    ``values`` is a read-only (B, n) float64 matrix; row b is member b.
+    ``values`` is a read-only (B, n) float64 matrix; row b is member b. An
+    ensemble built by ``decode`` also keeps the (table, codes) pair its
+    values were decoded from, ``values == table[codes]``.
     """
 
     values: np.ndarray
@@ -50,6 +52,7 @@ class Ensemble:
     config: dict[str, Any]
     master_seed: int
     source_checksum: str
+    _coded: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a view, so that making it read-only leaves the caller's array as it was
@@ -60,6 +63,18 @@ class Ensemble:
             raise ValidationError("ensemble contains NaN or infinite values")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+
+    @classmethod
+    def decode(
+        cls, table: np.ndarray, codes: np.ndarray, method: str, config: dict[str, Any], master_seed: int,
+        source_checksum: str,
+    ) -> "Ensemble":
+        """The ensemble whose member b is ``table[codes[b]]``. A bootstrap batch
+        passes its source values as the table and its members' source indices
+        as the codes; ``save`` then formats each table entry once."""
+        ens = cls(table[codes], method, config, master_seed, source_checksum)
+        object.__setattr__(ens, "_coded", (table, codes))
+        return ens
 
     def __len__(self) -> int:
         return int(self.values.shape[0])
@@ -76,9 +91,10 @@ class Ensemble:
     def save(self, directory: str | Path) -> Path:
         """Write one CSV per member plus a JSON manifest with each member's sha256.
 
-        Members are bootstrap draws from one source, so they share most of
-        their values: rows are formatted in runs of about ``_RUN_VALUES``
-        values, and each distinct value once per save.
+        Members are written in runs of about ``_RUN_VALUES`` values. A cell
+        is the ``repr`` of a table entry, formatted once per table: the table
+        of a decoded ensemble once per save, and for values alone the
+        distinct values of each run.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -86,11 +102,21 @@ class Ensemble:
         width = max(4, len(str(B - 1)))
         names = [f"series_{b:0{width}d}.csv" for b in range(B)]
         checksums = []
-        reprs: dict[int, str] = {}
         step = max(1, _RUN_VALUES // n)
+        if self._coded is None:
+            def run_cells(start: int) -> np.ndarray:
+                return _format_cells(self.values[start : start + step])
+        else:
+            table, codes = self._coded
+            text = _cell_text(table)
+
+            def run_cells(start: int) -> np.ndarray:
+                return text[codes[start : start + step]]
+
         for start in range(0, B, step):
             rows = self.values[start : start + step]
-            for name, row, cells in zip(names[start : start + step], rows, _format_cells(rows, reprs).tolist()):
+            # formatted in the loop header, so that no run is held while the next one is formatted
+            for name, row, cells in zip(names[start : start + step], rows, run_cells(start).tolist()):
                 (directory / name).write_bytes(_bare_body(cells))
                 checksums.append(hashlib.sha256(row.tobytes()).hexdigest())
         manifest = {
@@ -182,23 +208,22 @@ def run_batch(
     master_seed: int,
     threads: int = 1,
 ) -> Ensemble:
-    """Generate B series, each from its own child seed, as the rows of one matrix.
+    """Generate B series, each from its own child seed, as the rows of one
+    matrix of source indices, decoded into values once.
 
     ``generate_one(rng) -> np.ndarray`` returns one member of the source's
-    length and must depend only on the supplied RNG, so results are
-    independent of generation order. ``threads`` is accepted for
-    compatibility and has no effect: a thread pool over the members was
-    slower than one loop at 2 threads.
+    length as indices into ``source.values`` and must depend only on the
+    supplied RNG, so results are independent of generation order. The
+    indices are kept as uint16 while the source has at most 65536 values,
+    as uint32 above. ``threads`` is accepted for compatibility and has no
+    effect: a thread pool over the members was slower than one loop at 2
+    threads.
     """
     if B < 1:
         raise ConfigError(f"B must be >= 1, got {B}")
-    values = np.empty((B, len(source)))
+    n = len(source)
+    codes = np.empty((B, n), dtype=np.uint16 if n <= 1 << 16 else np.uint32)
     for b in range(B):
-        values[b] = generate_one(child_rng(master_seed, b))
-    return Ensemble(
-        values=values,
-        method=method,
-        config=config,
-        master_seed=master_seed,
-        source_checksum=source.checksum(),
-    )
+        codes[b] = generate_one(child_rng(master_seed, b))
+    codes.setflags(write=False)
+    return Ensemble.decode(source.values, codes, method, config, master_seed, source.checksum())

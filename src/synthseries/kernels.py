@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
+
+# ranks are drawn through a guide table over this many equal buckets of [0, 1)
+# (Chen & Asau 1974): a draw in bucket j starts at the least rank any draw
+# there can take and steps past the CDF points inside the bucket
+_BUCKETS = 1 << 12
+# a kernel with more CDF points than this in one bucket binary-searches its
+# CDF instead, as Generator.choice does: on 8760 draws (numpy 2.4.6) a step
+# took about 20 us and the search 0.5-1.1 ms at k = 100 to 5000, and at 17
+# steps the walk was still the faster, at 33 the slower
+_MAX_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -15,6 +25,9 @@ class ResamplingKernel:
 
     probabilities: np.ndarray
     name: str = "custom"
+    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    _guide: np.ndarray = field(init=False, repr=False, compare=False)
+    _steps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
@@ -25,10 +38,33 @@ class ResamplingKernel:
         p = p.copy()
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
+        # Generator.choice's CDF, scaled so that its last point is exactly 1
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        # guide[j] counts the CDF points at or below j / _BUCKETS
+        guide = cdf.searchsorted(np.arange(_BUCKETS + 1) / _BUCKETS, side="right")
+        object.__setattr__(self, "_cdf", cdf)
+        object.__setattr__(self, "_guide", guide[:-1])
+        # the most CDF points in one bucket
+        object.__setattr__(self, "_steps", int(np.diff(guide).max()))
 
     @property
     def k(self) -> int:
         return int(self.probabilities.size)
+
+    def ranks(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n ranks drawn from the kernel: ``rng.choice(k, size=n, p=probabilities)``
+        from the same ``rng.random(n)``, each the number of CDF points at or below its draw."""
+        u = rng.random(n)
+        if self._steps > _MAX_STEPS:
+            return self._cdf.searchsorted(u, side="right")
+        # u * _BUCKETS is exact, so a draw in bucket j has j / _BUCKETS <= u and
+        # starts at guide[j], at most _steps below its rank; a step moves it
+        # past a CDF point at or below u and stops it at the first one above
+        r = self._guide[(u * _BUCKETS).astype(np.intp)]
+        for _ in range(self._steps):
+            r += self._cdf[r] <= u
+        return r
 
 
 def harmonic_kernel(k: int) -> ResamplingKernel:

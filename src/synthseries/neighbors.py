@@ -280,9 +280,11 @@ def nearest_rows(
 
 
 def sample(source: HourlySeries, pools: Pools, kernel: ResamplingKernel, rng: np.random.Generator) -> np.ndarray:
-    """One member: per point a pool rank drawn from ``kernel``, and the source value at that neighbour."""
+    """One member as source indices: per point a pool rank drawn from ``kernel``,
+    and the neighbour at that rank; ``source.values`` at them is the member."""
     n, k = len(source), pools.indices.shape[1]
     if kernel.k != k:
         raise ConfigError(f"kernel has {kernel.k} ranks but the pools hold {k} neighbours per point")
-    ranks = rng.choice(k, size=n, p=kernel.probabilities)
-    return source.values[pools.indices[np.arange(n), ranks]]
+    flat = kernel.ranks(rng, n)
+    flat += np.arange(0, n * k, k)
+    return pools.indices.ravel()[flat]

@@ -43,7 +43,8 @@ def generate_nnlb(
     """One synthetic series; deterministic for a fixed seed."""
     kernel = kernel or harmonic_kernel(k)
     pools = find_neighbor_pools(build_lag_matrix(source, lag), k, include_self)
-    return HourlySeries(sample(source, pools, kernel, np.random.default_rng(seed)), label=f"{source.label}_nnlb")
+    indices = sample(source, pools, kernel, np.random.default_rng(seed))
+    return HourlySeries(source.values[indices], label=f"{source.label}_nnlb")
 
 
 def generate_nnlb_batch(

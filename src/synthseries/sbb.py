@@ -43,7 +43,8 @@ def generate_sbb(
     """One synthetic series; uniform pool selection unless a kernel is given."""
     kernel = kernel or uniform_kernel(p)
     pools = find_window_pools(build_windows(source, sash), p, include_self)
-    return HourlySeries(sample(source, pools, kernel, np.random.default_rng(seed)), label=f"{source.label}_sbb")
+    indices = sample(source, pools, kernel, np.random.default_rng(seed))
+    return HourlySeries(source.values[indices], label=f"{source.label}_sbb")
 
 
 def generate_sbb_batch(

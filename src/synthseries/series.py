@@ -196,7 +196,7 @@ def write_csv(series: HourlySeries, path: str | Path) -> None:
     the bytes ``csv.writer`` writes with ``repr(float(v))`` cells and CRLF
     rows. A bare column is built as one string and written in one call.
     """
-    cells = _format_cells(series.values, {}).tolist()
+    cells = _format_cells(series.values).tolist()
     if series.timestamps is not None:
         # timestamps are free text that may need quoting
         write_rows(path, [("timestamp", "value"), *zip(series.timestamps, cells)])
@@ -221,19 +221,20 @@ def write_json(obj: Any, path: str | Path) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _format_cells(values: np.ndarray, reprs: dict[int, str]) -> np.ndarray:
+def _format_cells(values: np.ndarray) -> np.ndarray:
     """``repr(float(v))`` of every value, as an object array of ``values``' shape.
 
-    Each distinct value is formatted once, in ``reprs``, keyed by its float64
-    bit pattern (so -0.0 and 0.0 stay apart); pass one dict to several calls
-    to share that work.
+    Each distinct value is formatted once: ``np.unique`` of the float64 bit
+    patterns (so -0.0 and 0.0 stay apart) gives a table of them and each
+    value's place in it.
     """
-    bits, where = np.unique(values.view(np.uint64).ravel(), return_inverse=True)
-    text = [
-        reprs.get(b) or reprs.setdefault(b, repr(v))
-        for b, v in zip(bits.tolist(), bits.view(np.float64).tolist())
-    ]
-    return np.array(text, dtype=object)[where.reshape(values.shape)]
+    bits, codes = np.unique(values.view(np.uint64).ravel(), return_inverse=True)
+    return _cell_text(bits.view(np.float64))[codes.reshape(values.shape)]
+
+
+def _cell_text(table: np.ndarray) -> np.ndarray:
+    """``repr(float(v))`` of every entry of ``table``, as an object array."""
+    return np.array([repr(v) for v in table.tolist()], dtype=object)
 
 
 def _bare_body(cells: list[str]) -> bytes:

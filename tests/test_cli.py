@@ -152,6 +152,17 @@ class TestPerturb:
         })
         assert main(["perturb", cfg]) == EXIT_IO
 
+    @pytest.mark.parametrize("in_config, flags", [(True, []), (False, ["--seed", "5"])], ids=["config", "flag"])
+    def test_altered_difference_refuses_a_seed(self, tmp_path, capsys, in_config, flags):
+        # the method draws nothing: a seed, from the config or --seed, is a config error, not a silent no-op
+        out = tmp_path / "alt"
+        cfg = {"method": "altered_difference", "high": WIND, "low": SOLAR, "alpha": 0.5, "output_dir": str(out)}
+        if in_config:
+            cfg["seed"] = 5
+        assert main(["perturb", write_config(tmp_path, cfg), *flags]) == EXIT_CONFIG
+        assert "'seed'" in capsys.readouterr().err
+        assert_nothing_written(out)
+
     @pytest.mark.parametrize("below", [5e-324, 1e-315])
     def test_subnormal_below_probability(self, tmp_path, below):
         # the quantile's refinement step overflows at such p, so it must be skipped, not raised

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from synthseries.ensemble import _RUN_VALUES, Ensemble, child_rng, child_seed
+from synthseries.ensemble import _RUN_VALUES, Ensemble, child_rng, child_seed, run_batch
 from synthseries.errors import (
     ChecksumMismatch,
     ConfigError,
@@ -71,6 +71,42 @@ def test_manifest_regenerates_members(tmp_path, rng):
         ranks = member_rng.choice(config["p"], size=len(s), p=uniform_kernel(config["p"]).probabilities)
         expected = s.values[pools.indices[np.arange(len(s)), ranks]]
         assert load_csv(tmp_path / "ens" / name).values.tobytes() == expected.tobytes()
+
+
+def _saved(ens: Ensemble, directory) -> dict[str, bytes]:
+    ens.save(directory)
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def _values_alone(ens: Ensemble) -> Ensemble:
+    return Ensemble(ens.values, ens.method, ens.config, ens.master_seed, ens.source_checksum)
+
+
+def test_batch_saves_the_bytes_of_its_values_alone(tmp_path, rng):
+    """A batch formats its source once and writes cells by its index matrix;
+    the same values alone are formatted per run through np.unique. Both write
+    the same directory, manifest included, across a run boundary."""
+    values = np.round(np.abs(rng.normal(100, 30, size=500)), 1)
+    values[100:200] = 0.0
+    values[150:170] = -0.0
+    s = HourlySeries(values)
+    ens = generate_sbb_batch(s, 2, 5, B=_RUN_VALUES // 500 + 3, master_seed=5)
+    zeros = ens.values[ens.values == 0]
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+    assert _saved(ens, tmp_path / "coded") == _saved(_values_alone(ens), tmp_path / "plain")
+
+
+@pytest.mark.parametrize("n, dtype", [(1 << 16, np.uint16), ((1 << 16) + 1, np.uint32)])
+def test_index_matrix_is_uint16_up_to_65536_values(tmp_path, n, dtype):
+    """Members that take every source index, the last one included, are
+    decoded and saved as from their values alone."""
+    source = HourlySeries(np.round(np.random.default_rng(n).normal(size=n), 2))
+    ens = run_batch(lambda r: r.permutation(n), source, "sbb", {}, 2, 9)
+    codes = ens._coded[1]
+    assert codes.dtype == dtype and not codes.flags.writeable
+    want = np.stack([source.values[child_rng(9, b).permutation(n)] for b in range(2)])
+    assert ens.values.tobytes() == want.tobytes()
+    assert _saved(ens, tmp_path / "coded") == _saved(_values_alone(ens), tmp_path / "plain")
 
 
 def test_child_seed_is_the_child_rng_seed():
@@ -220,12 +256,27 @@ class TestMemberCsv:
             got = type(exc), getattr(exc, "row", None), str(exc)
         assert got == expected
 
-    # tracemalloc peaks of save, measured on numpy 2.4.6: 2.99 MiB at
-    # (2000, 720) and 3.31 MiB at (100, 8760), from the run temporaries. One
+    # tracemalloc peaks of save, measured on numpy 2.4.6: 2.95 MiB at
+    # (2000, 720) and 2.72 MiB at (100, 8760), from the run temporaries. One
     # np.unique over the whole matrix would hold about 35 MB.
     @pytest.mark.parametrize("shape", [(2000, 720), (100, 8760)])
     def test_save_memory_stays_bounded_by_one_run(self, tmp_path, rng, shape):
         ens = _matrix_ensemble(_draws(rng, *shape))
+        tracemalloc.start()
+        try:
+            ens.save(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    # a batch's peaks: 1.41 and 1.54 MiB; its cells gathered over the whole
+    # matrix would hold 11.5 MB at (2000, 720)
+    @pytest.mark.parametrize("shape", [(2000, 720), (100, 8760)])
+    def test_batch_save_memory_stays_bounded_by_one_run(self, tmp_path, rng, shape):
+        B, n = shape
+        source = HourlySeries(_draws(rng, 1, n)[0])
+        ens = run_batch(lambda r: r.integers(0, n, size=n), source, "sbb", {}, B, 1)
         tracemalloc.start()
         try:
             ens.save(tmp_path)
