@@ -43,8 +43,10 @@ class Ensemble:
     """B synthetic series plus the provenance needed to regenerate them.
 
     ``values`` is a read-only (B, n) float64 matrix; row b is member b. An
-    ensemble built by ``decode`` also keeps the (table, codes) pair its
-    values were decoded from, ``values == table[codes]``.
+    ensemble built by ``decode`` holds the (table, codes) pair instead and
+    decodes ``values = table[codes]`` on first use: ``save`` writes it from
+    the pair, so a generated ensemble that is only saved never holds its
+    values whole.
     """
 
     values: np.ndarray
@@ -72,12 +74,34 @@ class Ensemble:
         """The ensemble whose member b is ``table[codes[b]]``. A bootstrap batch
         passes its source values as the table and its members' source indices
         as the codes; ``save`` then formats each table entry once."""
-        ens = cls(table[codes], method, config, master_seed, source_checksum)
-        object.__setattr__(ens, "_coded", (table, codes))
+        if codes.ndim != 2 or codes.shape[0] < 1 or codes.shape[1] < 1:
+            raise ConfigError("ensemble must contain at least one non-empty series")
+        if not np.isfinite(table).all():
+            raise ValidationError("ensemble contains NaN or infinite values")
+        ens = object.__new__(cls)
+        fields = {"method": method, "config": config, "master_seed": master_seed,
+                  "source_checksum": source_checksum, "_coded": (table, codes)}
+        for name, value in fields.items():
+            object.__setattr__(ens, name, value)
         return ens
 
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks: the values of a
+        # decoded ensemble, until their first use
+        if name != "values" or self._coded is None:
+            raise AttributeError(name)
+        table, codes = self._coded
+        values = table[codes]
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        return values
+
+    @property
+    def _shape(self) -> tuple[int, int]:
+        return (self.values if self._coded is None else self._coded[1]).shape
+
     def __len__(self) -> int:
-        return int(self.values.shape[0])
+        return int(self._shape[0])
 
     @property
     def series(self) -> tuple[HourlySeries, ...]:
@@ -98,27 +122,30 @@ class Ensemble:
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        B, n = self.values.shape
+        B, n = self._shape
         width = max(4, len(str(B - 1)))
         names = [f"series_{b:0{width}d}.csv" for b in range(B)]
         checksums = []
         step = max(1, _RUN_VALUES // n)
+        # a run's rows and cells, the cells as one list of strings per row
         if self._coded is None:
-            def run_cells(start: int) -> np.ndarray:
-                return _format_cells(self.values[start : start + step])
+            def run(start: int) -> tuple[np.ndarray, list[list[str]]]:
+                rows = self.values[start : start + step]
+                return rows, _format_cells(rows).tolist()
         else:
             table, codes = self._coded
             text = _cell_text(table)
 
-            def run_cells(start: int) -> np.ndarray:
-                return text[codes[start : start + step]]
+            def run(start: int) -> tuple[np.ndarray, list[list[str]]]:
+                run_codes = codes[start : start + step]
+                return table[run_codes], text[run_codes].tolist()
 
         for start in range(0, B, step):
-            rows = self.values[start : start + step]
-            # formatted in the loop header, so that no run is held while the next one is formatted
-            for name, row, cells in zip(names[start : start + step], rows, run_cells(start).tolist()):
-                (directory / name).write_bytes(_bare_body(cells))
+            rows, cells = run(start)
+            for name, row, row_cells in zip(names[start : start + step], rows, cells):
+                (directory / name).write_bytes(_bare_body(row_cells))
                 checksums.append(hashlib.sha256(row.tobytes()).hexdigest())
+            del rows, cells  # so that no run is held while the next one is formatted
         manifest = {
             "method": self.method,
             "config": self.config,

@@ -8,15 +8,10 @@ import numpy as np
 
 from .errors import ConfigError
 
-# ranks are drawn through a guide table over this many equal buckets of [0, 1)
-# (Chen & Asau 1974): a draw in bucket j starts at the least rank any draw
-# there can take and steps past the CDF points inside the bucket
-_BUCKETS = 1 << 12
-# a kernel with more CDF points than this in one bucket binary-searches its
-# CDF instead, as Generator.choice does: on 8760 draws (numpy 2.4.6) a step
-# took about 20 us and the search 0.5-1.1 ms at k = 100 to 5000, and at 17
-# steps the walk was still the faster, at 33 the slower
-_MAX_STEPS = 16
+# ranks are drawn through a guide table over 2^12 or more equal buckets of
+# [0, 1) (Chen & Asau 1974): a draw in bucket j starts at the least rank any
+# draw there can take and steps past the CDF points inside the bucket
+_MIN_BUCKETS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -41,8 +36,12 @@ class ResamplingKernel:
         # Generator.choice's CDF, scaled so that its last point is exactly 1
         cdf = p.cumsum()
         cdf /= cdf[-1]
-        # guide[j] counts the CDF points at or below j / _BUCKETS
-        guide = cdf.searchsorted(np.arange(_BUCKETS + 1) / _BUCKETS, side="right")
+        # a power of two at least 4k, so that a harmonic kernel puts at most 3
+        # CDF points in one bucket for any k up to 10^5 and a uniform one 1;
+        # custom masses that crowd more points into a bucket take more steps
+        buckets = max(_MIN_BUCKETS, 1 << (4 * p.size - 1).bit_length())
+        # guide[j] counts the CDF points at or below j / buckets
+        guide = cdf.searchsorted(np.arange(buckets + 1) / buckets, side="right")
         object.__setattr__(self, "_cdf", cdf)
         object.__setattr__(self, "_guide", guide[:-1])
         # the most CDF points in one bucket
@@ -56,12 +55,11 @@ class ResamplingKernel:
         """n ranks drawn from the kernel: ``rng.choice(k, size=n, p=probabilities)``
         from the same ``rng.random(n)``, each the number of CDF points at or below its draw."""
         u = rng.random(n)
-        if self._steps > _MAX_STEPS:
-            return self._cdf.searchsorted(u, side="right")
-        # u * _BUCKETS is exact, so a draw in bucket j has j / _BUCKETS <= u and
-        # starts at guide[j], at most _steps below its rank; a step moves it
-        # past a CDF point at or below u and stops it at the first one above
-        r = self._guide[(u * _BUCKETS).astype(np.intp)]
+        # u times a power of two is exact, so a draw in bucket j has
+        # j / buckets <= u and starts at guide[j], at most _steps below its
+        # rank; a step moves it past a CDF point at or below u and stops it at
+        # the first one above
+        r = self._guide[(u * self._guide.size).astype(np.intp)]
         for _ in range(self._steps):
             r += self._cdf[r] <= u
         return r

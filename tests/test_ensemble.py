@@ -15,6 +15,7 @@ from synthseries.errors import (
     LengthMismatch,
     MalformedManifest,
     SynthSeriesError,
+    ValidationError,
 )
 from synthseries.kernels import uniform_kernel
 from synthseries.sbb import build_windows, find_window_pools, generate_sbb_batch
@@ -102,11 +103,21 @@ def test_index_matrix_is_uint16_up_to_65536_values(tmp_path, n, dtype):
     decoded and saved as from their values alone."""
     source = HourlySeries(np.round(np.random.default_rng(n).normal(size=n), 2))
     ens = run_batch(lambda r: r.permutation(n), source, "sbb", {}, 2, 9)
+    coded = _saved(ens, tmp_path / "coded")
+    assert len(ens) == 2 and "values" not in vars(ens)  # saved without decoding its values whole
     codes = ens._coded[1]
     assert codes.dtype == dtype and not codes.flags.writeable
     want = np.stack([source.values[child_rng(9, b).permutation(n)] for b in range(2)])
-    assert ens.values.tobytes() == want.tobytes()
-    assert _saved(ens, tmp_path / "coded") == _saved(_values_alone(ens), tmp_path / "plain")
+    assert ens.values.tobytes() == want.tobytes() and not ens.values.flags.writeable
+    assert coded == _saved(_values_alone(ens), tmp_path / "plain")
+
+
+def test_decode_checks_what_the_constructor_checks():
+    codes = np.zeros((2, 3), dtype=np.uint16)
+    with pytest.raises(ValidationError):
+        Ensemble.decode(np.array([np.nan]), codes, "sbb", {}, 0, "x")
+    with pytest.raises(ConfigError):
+        Ensemble.decode(np.array([1.0]), codes[:0], "sbb", {}, 0, "x")
 
 
 def test_child_seed_is_the_child_rng_seed():
@@ -270,8 +281,8 @@ class TestMemberCsv:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
-    # a batch's peaks: 1.41 and 1.54 MiB; its cells gathered over the whole
-    # matrix would hold 11.5 MB at (2000, 720)
+    # a batch's peaks: 2.41 and 2.48 MiB, its values decoded a run at a time;
+    # its cells gathered over the whole matrix would hold 11.5 MB at (2000, 720)
     @pytest.mark.parametrize("shape", [(2000, 720), (100, 8760)])
     def test_batch_save_memory_stays_bounded_by_one_run(self, tmp_path, rng, shape):
         B, n = shape

@@ -3,7 +3,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from synthseries import kernels
 from synthseries.errors import ConfigError
 from synthseries.kernels import ResamplingKernel, harmonic_kernel, make_kernel, uniform_kernel
 from synthseries.neighbors import Pools, sample
@@ -60,21 +59,28 @@ RANK_KERNELS = {
     **{f"{make}_{k}": make_kernel(make, k) for make in ("uniform", "harmonic") for k in (1, 2, 20, 100)},
     "random_20": _random_kernel(1, 20, 0.99),
     "random_100": _random_kernel(2, 100, 0.98),
-    "random_300": _random_kernel(3, 300, 0.999),  # past kernels._MAX_STEPS: a binary search
+    "random_300": _random_kernel(3, 300, 0.999),
 }
 
 
 def _most_points_in_a_bucket(kernel: ResamplingKernel) -> int:
     cdf = kernel.probabilities.cumsum()
     cdf /= cdf[-1]
-    return int(np.bincount((cdf[cdf < 1] * kernels._BUCKETS).astype(int)).max(initial=0))
+    return int(np.bincount((cdf[cdf < 1] * kernel._guide.size).astype(int)).max(initial=0))
 
 
 def test_rank_kernels_cover_crowded_buckets():
     crowded = [_most_points_in_a_bucket(RANK_KERNELS[f"random_{k}"]) for k in (20, 100, 300)]
-    assert 1 < crowded[0] <= kernels._MAX_STEPS and 1 < crowded[1] <= kernels._MAX_STEPS
-    assert crowded[2] > kernels._MAX_STEPS
+    assert 1 < crowded[0] < crowded[1] < crowded[2] and crowded[2] > 32
     assert all((k.probabilities == 0).any() for name, k in RANK_KERNELS.items() if name.startswith("random"))
+
+
+@pytest.mark.parametrize("k", [1, 100, 1000, 2000, 8760, 100_000])
+def test_guide_table_grows_with_k(k):
+    """At least 4k buckets, so a harmonic kernel steps at most 3 times a draw at any k."""
+    kernel = harmonic_kernel(k)
+    assert kernel._guide.size >= max(4096, 4 * k) and kernel._steps <= 3
+    assert uniform_kernel(k)._steps == 1
 
 
 @pytest.mark.parametrize("name", sorted(RANK_KERNELS))
@@ -106,13 +112,17 @@ class _Draws(np.random.Generator):
         return self.draws.copy()
 
 
-@pytest.mark.parametrize("name", sorted(RANK_KERNELS))
+EDGE_KERNELS = {**RANK_KERNELS, "harmonic_8760": harmonic_kernel(8760), "uniform_5000": uniform_kernel(5000)}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_KERNELS))
 def test_ranks_at_cdf_points_and_bucket_edges(name):
     """Draws on and next to every CDF point, before and after scaling, and
     every bucket edge: the ranks ``choice`` maps them to, tie for tie."""
-    kernel = RANK_KERNELS[name]
+    kernel = EDGE_KERNELS[name]
     cdf = kernel.probabilities.cumsum()
-    points = np.concatenate((cdf, cdf / cdf[-1], np.arange(kernels._BUCKETS) / kernels._BUCKETS))
+    buckets = kernel._guide.size
+    points = np.concatenate((cdf, cdf / cdf[-1], np.arange(buckets) / buckets))
     u = np.unique(np.concatenate((points, np.nextafter(points, 0), np.nextafter(points, 1))))
     u = u[(u >= 0) & (u < 1)]
     want = _Draws(u).choice(kernel.k, size=u.size, p=kernel.probabilities)
