@@ -25,7 +25,7 @@ from .perturb import (
     normal_below_probability,
 )
 from .sbb import build_windows, find_window_pools, generate_sbb, generate_sbb_batch
-from .series import HourlySeries, chunk_sums, circular_get, load_csv, write_csv
+from .series import HourlySeries, chunk_sums, load_csv, write_csv
 from .stats import (
     ExceedanceReport,
     SummaryStats,
@@ -58,7 +58,6 @@ __all__ = [
     "child_rng",
     "child_seed",
     "chunk_sums",
-    "circular_get",
     "combine_vre",
     "direction_audit",
     "empirical_distribution",

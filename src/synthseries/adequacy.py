@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,11 +37,7 @@ class AdequacyResult:
     shortfall_days: int
 
     def as_dict(self) -> dict[str, float | int]:
-        return {
-            "percent_supplied": self.percent_supplied,
-            "percent_curtailed": self.percent_curtailed,
-            "shortfall_days": self.shortfall_days,
-        }
+        return asdict(self)
 
 
 def _check_lengths(*series: HourlySeries | np.ndarray) -> None:
@@ -141,7 +137,10 @@ def ensemble_adequacy(
     _check_lengths(solar[0], wind[0], nuclear, load)
     _check_fraction(shortfall_fraction)
     rng = np.random.default_rng(pairing_seed)
-    si = rng.integers(0, len(solar), size=B)
+    try:
+        si = rng.integers(0, len(solar), size=B)
+    except ValueError:  # a size numpy cannot represent, refused before allocating
+        raise OutOfRange(f"pairs={B} is too large for one array of pair indices") from None
     wi = rng.integers(0, len(wind), size=B)
     return [
         _adequacy(weights.solar * solar[a] + weights.wind * wind[b], nuclear.values, load.values, shortfall_fraction)

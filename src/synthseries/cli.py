@@ -141,7 +141,7 @@ def _load_series(cfg: dict[str, Any], key: str, value_column: str) -> HourlySeri
 # --- subcommands ----------------------------------------------------------
 
 
-def cmd_generate(cfg: dict[str, Any], threads: int) -> int:
+def cmd_generate(cfg: dict[str, Any]) -> int:
     value_column = _value_column(cfg)
     source = _load_series(cfg, "input", value_column)
     method = _require(cfg, "method")
@@ -155,14 +155,14 @@ def cmd_generate(cfg: dict[str, Any], threads: int) -> int:
         kernel = make_kernel(params.get("kernel", "harmonic"), k)
         ens = generate_nnlb_batch(
             source, _require(params, "lag", int), k, B, seed,
-            kernel=kernel, include_self=include_self, threads=threads,
+            kernel=kernel, include_self=include_self,
         )
     elif method == "sbb":
         p = _require(params, "p", int)
         kernel = make_kernel(params.get("kernel", "uniform"), p)
         ens = generate_sbb_batch(
             source, _require(params, "sash", int), p, B, seed,
-            kernel=kernel, include_self=include_self, threads=threads,
+            kernel=kernel, include_self=include_self,
         )
     else:
         raise ConfigError(f"unknown method {method!r} (choose nnlb or sbb)")
@@ -171,7 +171,7 @@ def cmd_generate(cfg: dict[str, Any], threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_perturb(cfg: dict[str, Any], threads: int) -> int:
+def cmd_perturb(cfg: dict[str, Any]) -> int:
     value_column = _value_column(cfg)
     method = _require(cfg, "method")
     out_dir = _path(cfg, "output_dir")
@@ -231,7 +231,7 @@ def cmd_perturb(cfg: dict[str, Any], threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(cfg: dict[str, Any], threads: int) -> int:
+def cmd_analyze(cfg: dict[str, Any]) -> int:
     value_column = _value_column(cfg)
     ens = Ensemble.load(_path(cfg, "ensemble_dir"))
     original = _load_series(cfg, "original", value_column)
@@ -268,7 +268,7 @@ def cmd_analyze(cfg: dict[str, Any], threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_vre(cfg: dict[str, Any], threads: int) -> int:
+def cmd_vre(cfg: dict[str, Any]) -> int:
     value_column = _value_column(cfg)
     solar = _load_series(cfg, "solar", value_column)
     wind = _load_series(cfg, "wind", value_column)
@@ -371,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg.update((key, getattr(args, key)) for key in ("seed", "output_dir", "B") if hasattr(args, key))
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        return _COMMANDS[args.command](cfg, args.threads)
+        return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

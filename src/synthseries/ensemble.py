@@ -108,10 +108,6 @@ class Ensemble:
         """The members as series, copied from ``values`` on each access."""
         return tuple(HourlySeries(row) for row in self.values)
 
-    @property
-    def child_seeds(self) -> tuple[tuple[int, int], ...]:
-        return tuple(child_seed(self.master_seed, b) for b in range(len(self)))
-
     def save(self, directory: str | Path) -> Path:
         """Write one CSV per member plus a JSON manifest with each member's sha256.
 
@@ -249,7 +245,10 @@ def run_batch(
     if B < 1:
         raise ConfigError(f"B must be >= 1, got {B}")
     n = len(source)
-    codes = np.empty((B, n), dtype=np.uint16 if n <= 1 << 16 else np.uint32)
+    try:
+        codes = np.empty((B, n), dtype=np.uint16 if n <= 1 << 16 else np.uint32)
+    except ValueError:  # a shape numpy cannot represent, refused before allocating
+        raise ConfigError(f"B={B} is too large: {B} members of {n} values do not fit in one array") from None
     for b in range(B):
         codes[b] = generate_one(child_rng(master_seed, b))
     codes.setflags(write=False)

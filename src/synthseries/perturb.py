@@ -19,6 +19,7 @@ from .errors import (
     LengthMismatch,
 )
 from .series import HourlySeries
+from .stats import Threshold, overage, summarize, underage
 
 
 @dataclass(frozen=True)
@@ -219,8 +220,6 @@ def direction_audit(
     autocorr_lag: int = 24,
 ) -> dict[str, Any]:
     """Summary stats of the altered series plus daily under/over counts."""
-    from .stats import Threshold, overage, summarize, underage
-
     synthetic = altered.values
     if len(synthetic) != len(source):
         raise LengthMismatch(f"series lengths differ: {len(synthetic)} vs {len(source)}")

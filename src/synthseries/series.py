@@ -50,11 +50,6 @@ class HourlySeries:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    def require_non_negative(self) -> "HourlySeries":
-        if np.any(self.values < 0):
-            raise ValidationError(f"series {self.label!r} has negative values")
-        return self
-
     def checksum(self) -> str:
         """sha256 over the raw float64 buffer; stable across runs."""
         return hashlib.sha256(self.values.tobytes()).hexdigest()
@@ -62,11 +57,6 @@ class HourlySeries:
     @property
     def mean(self) -> float:
         return float(self.values.mean())
-
-
-def circular_get(series: HourlySeries, index: int) -> float:
-    """Value at ``index mod len(series)`` (mathematical modulus)."""
-    return float(series.values[index % len(series)])
 
 
 def chunk_sums(values: np.ndarray, length: int) -> np.ndarray:

@@ -73,9 +73,8 @@ def _row_stats(values: np.ndarray, autocorr_lag: int) -> dict[str, np.ndarray]:
     }
 
 
-def summarize(series: HourlySeries | np.ndarray, autocorr_lag: int = 24) -> SummaryStats:
-    vals = series.values if isinstance(series, HourlySeries) else np.asarray(series, dtype=float)
-    stats = _row_stats(vals.reshape(1, -1), autocorr_lag)
+def summarize(series: HourlySeries, autocorr_lag: int = 24) -> SummaryStats:
+    stats = _row_stats(series.values.reshape(1, -1), autocorr_lag)
     return SummaryStats(autocorr_lag=autocorr_lag, **{name: float(v[0]) for name, v in stats.items()})
 
 

@@ -454,6 +454,34 @@ class TestExitCodes:
                                       "seed": -1, "output_dir": str(tmp_path / "x")})
         assert main(["generate", cfg]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["generate", "vre"])
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_thread_count_below_one_is_config_error(self, tmp_path, capsys, small_ensembles, command, threads):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, self._config(command, small_ensembles[0], out))
+        assert main(["--threads", threads, command, cfg]) == EXIT_CONFIG
+        assert f"--threads must be >= 1, got {threads}" in capsys.readouterr().err
+        assert_nothing_written(out)
+
+    # sizes numpy refuses before it allocates anything
+    @pytest.mark.parametrize("in_config", [True, False])
+    def test_member_count_numpy_cannot_represent_is_config_error(self, tmp_path, capsys, in_config):
+        out = tmp_path / "out"
+        cfg = self._config("generate", Path(), out) | ({"B": 10**20} if in_config else {})
+        flags = [] if in_config else ["--B", str(10**20)]
+        assert main(["generate", write_config(tmp_path, cfg), *flags]) == EXIT_CONFIG
+        assert f"B={10**20} is too large" in capsys.readouterr().err
+        assert_nothing_written(out)
+
+    def test_pair_count_numpy_cannot_represent_is_config_error(self, tmp_path, capsys, small_ensembles):
+        out = tmp_path / "out"
+        solar, wind = small_ensembles
+        cfg = self._config("vre", solar, out) | {"ensembles": {
+            "solar_dir": str(solar), "wind_dir": str(wind), "pairing_seed": 7, "pairs": 10**20}}
+        assert main(["vre", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert f"pairs={10**20} is too large" in capsys.readouterr().err
+        assert_nothing_written(out)
+
     @staticmethod
     def _config(command: str, ensemble_dir: Path, out: Path) -> dict:
         """A config each command runs with exit 0, writing into ``out``."""

@@ -19,7 +19,7 @@ from synthseries.errors import (
     UnparseableValue,
     ValidationError,
 )
-from synthseries.series import HourlySeries, chunk_sums, circular_get, load_csv, write_csv
+from synthseries.series import HourlySeries, chunk_sums, load_csv, write_csv
 
 from . import oracles
 
@@ -39,37 +39,10 @@ def test_rejects_empty_and_nonfinite():
         HourlySeries(np.array([np.inf]))
 
 
-def test_non_negative_flag():
-    HourlySeries(np.array([0.0, 1.0])).require_non_negative()
-    with pytest.raises(ValidationError):
-        HourlySeries(np.array([-0.1, 1.0])).require_non_negative()
-
-
 def test_values_immutable():
     s = HourlySeries(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         s.values[0] = 9.0
-
-
-class TestCircularGet:
-    def test_negative_wraps_to_last(self):
-        s = HourlySeries(np.array([10.0, 20.0, 30.0]))
-        assert circular_get(s, -1) == 30.0
-
-    def test_overflow_wraps_to_first(self):
-        s = HourlySeries(np.array([10.0, 20.0, 30.0]))
-        assert circular_get(s, 3) == 10.0
-
-    def test_year_length_wrap(self):
-        vals = np.arange(8760, dtype=float)
-        s = HourlySeries(vals)
-        assert circular_get(s, -2) == vals[8758]
-
-    @given(finite_values, st.integers(min_value=-10_000, max_value=10_000))
-    @settings(max_examples=60)
-    def test_periodicity(self, values, i):
-        s = HourlySeries(np.array(values))
-        assert circular_get(s, i) == circular_get(s, i + len(s))
 
 
 class TestChunk:

@@ -197,7 +197,7 @@ class TestSummaryTable:
         ens = generate_sbb_batch(s, 2, 5, B=25, master_seed=3)
         per_member = [loop_summary(row, 24) for row in ens.values]
         for b, row in enumerate(ens.values):
-            assert list(summarize(row).as_dict().values()) == per_member[b]
+            assert list(summarize(HourlySeries(row)).as_dict().values()) == per_member[b]
         table = ensemble_summary_table(ens, s, autocorr_lag=24)
         for i, entry in enumerate(table.values()):
             col = np.array([m[i] for m in per_member])
