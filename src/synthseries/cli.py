@@ -31,7 +31,6 @@ from .adequacy import (
 )
 from .ensemble import Ensemble
 from .errors import ChecksumMismatch, ConfigError, IOErrorSS, SynthSeriesError, ValidationError
-from .kernels import make_kernel
 from .nnlb import generate_nnlb_batch
 from .perturb import ClampPolicy, OffsetDistribution, altered_difference, direction_audit, incremental_select
 from .sbb import generate_sbb_batch
@@ -116,10 +115,13 @@ def _section(cfg: dict[str, Any], key: str, default: dict[str, Any] | None = Non
 def _numbers(cfg: dict[str, Any], key: str) -> list[float]:
     """A list of finite JSON numbers, passed on as written (outputs echo them)."""
     values = _require(cfg, key)
-    if not isinstance(values, list) or not all(
-        (isinstance(v, int) and not isinstance(v, bool)) or (isinstance(v, float) and math.isfinite(v))
-        for v in values
-    ):
+    try:
+        finite = isinstance(values, list) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in values
+        )
+    except OverflowError:  # an int beyond the largest float
+        finite = False
+    if not finite:
         raise ConfigError(f"{key!r} must be a list of finite numbers, got {values!r}")
     return values
 
@@ -151,18 +153,14 @@ def cmd_generate(cfg: dict[str, Any]) -> int:
     out_dir = _path(cfg, "output_dir")
     include_self = _flag(params, "include_self", True)
     if method == "nnlb":
-        k = _require(params, "k", int)
-        kernel = make_kernel(params.get("kernel", "harmonic"), k)
         ens = generate_nnlb_batch(
-            source, _require(params, "lag", int), k, B, seed,
-            kernel=kernel, include_self=include_self,
+            source, _require(params, "lag", int), _require(params, "k", int), B, seed,
+            kernel=params.get("kernel", "harmonic"), include_self=include_self,
         )
     elif method == "sbb":
-        p = _require(params, "p", int)
-        kernel = make_kernel(params.get("kernel", "uniform"), p)
         ens = generate_sbb_batch(
-            source, _require(params, "sash", int), p, B, seed,
-            kernel=kernel, include_self=include_self,
+            source, _require(params, "sash", int), _require(params, "p", int), B, seed,
+            kernel=params.get("kernel", "uniform"), include_self=include_self,
         )
     else:
         raise ConfigError(f"unknown method {method!r} (choose nnlb or sbb)")

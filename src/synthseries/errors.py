@@ -69,7 +69,7 @@ class InvalidLag(ConfigError):
 
 
 class KTooLarge(ConfigError):
-    pass
+    key = "k"
 
 
 class InvalidSash(ConfigError):
@@ -77,7 +77,7 @@ class InvalidSash(ConfigError):
 
 
 class PTooLarge(ConfigError):
-    pass
+    key = "p"
 
 
 # --- ensembles ---------------------------------------------------------

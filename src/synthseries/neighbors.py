@@ -20,9 +20,10 @@ index), i.e. the first k entries of a stable sort of the row, without
 sorting the row. Equal rows (the all-zero windows of solar nights, about
 a third of a solar year) have byte-identical distance rows and so one
 shared candidate order; only where the row itself sits in it differs.
-The search therefore runs once per distinct row (``np.unique``), itself
-among its candidates, and selects one candidate more than a pool holds
-when the row itself is to be left out.
+Every row is sorted once by (row sum, row, index), in which equal rows
+are adjacent runs. The search runs once per run, for its first row,
+itself among its candidates, and selects one candidate more than a pool
+holds when the row itself is to be left out.
 
 ``argpartition`` finds the boundary distance of that selection. When
 exactly as many candidates lie at or inside it, they are the selection.
@@ -37,30 +38,31 @@ sort, at the cost of one pass over the candidates measured.
 
 Most candidates cannot enter a pool, and row sums show which (Friedman,
 Baskett & Shustek 1975): for rows a, b of width w,
-|sum a - sum b| <= sqrt(w) |a - b|. The distinct rows are searched in
-blocks of ``_BLOCK_ROWS`` in order of (row sum, first row), and a block
-measures only a window: the rows whose sums lie within h of the block's,
-and at least 2 kk rows past them on either side in sum order, where kk is
-the number of candidates selected and h is 1.05 times the 90th percentile
-of the previous block's reaches. A row's reach is sqrt(w) times its kk-th
-distance in the window, widened by what rounding can do to the distances
-and to the sums (the relative error of a w-term sum, the absolute error of
-squares flushed to zero, and the error of each sum, bounded by the sum of
-absolute values). Every row at or within the kk-th distance, a tie
-included, has a sum within reach, so a row whose window holds every sum
-within reach is certified: the sums just outside lie strictly beyond its
-sum plus or minus its reach. Its pool from the window is its pool. The
-rows a block leaves uncertified are then measured again, in the window
-widened to every sum within any of their reaches; their kk-th distance
-there can only be smaller, so the widened window certifies them all. Their
-pairs inside the first window are measured twice: on the case-study
-searches that is about 5% more pairs and no time beyond noise, and on
-inputs whose windows hold most rows (iid noise, lags of a day) up to 10%
-more time. A window is taken in index order, so ties still go to the lower
-index. A matrix with a sum,
-or a sum of absolute values, that is not finite, where the bound gives
-nothing, has every row measured in one window of all rows, and a matrix
-with no columns has every distance 0.
+|sum a - sum b| <= sqrt(w) |a - b|. The runs are searched in blocks of
+``_BLOCK_ROWS`` in that order, so a block's own rows are one slice of it.
+A block measures only a window, another slice: the rows whose sums lie
+within h of the block's, and at least 2 kk rows past its own on either
+side, where kk is the number of candidates selected and h is 1.05 times
+the 90th percentile of the previous block's reaches. A row's reach is
+sqrt(w) times its kk-th distance in the window, widened by what rounding
+can do to the distances and to the sums (the relative error of a w-term
+sum, the absolute error of squares flushed to zero, and the error of each
+sum, bounded by the sum of absolute values). Every row at or within the
+kk-th distance, a tie included, has a sum within reach, so a row whose
+window holds every sum within reach is certified: the sums just outside
+lie strictly beyond its sum plus or minus its reach. Its pool from the
+window is its pool. The rows a block leaves uncertified are then measured
+again, in the window widened to every sum within any of their reaches;
+their kk-th distance there can only be smaller, so the widened window
+certifies them all. Their pairs inside the first window are measured
+twice: on the case-study searches that is about 5% more pairs and no time
+beyond noise, and on inputs whose windows hold most rows (iid noise, lags
+of a day) up to 10% more time. A window is taken in index order, so ties
+still go to the lower index. A matrix with a sum, or a sum of absolute
+values, that is not finite, where the bound gives nothing, has every row
+measured in one window of all rows. A matrix with no columns is one run
+of rows whose sums and distances are all 0, and its one window holds
+every row.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, KTooLarge, PTooLarge
 from .kernels import ResamplingKernel
 from .series import HourlySeries
 
@@ -102,20 +104,6 @@ def embed(source: HourlySeries, offsets: np.ndarray) -> np.ndarray:
     """(n, len(offsets)) matrix whose row i holds ``source[(i + o) % n]`` for each offset o."""
     n = len(source)
     return source.values[(np.arange(n)[:, None] + offsets) % n]
-
-
-def _distinct_rows(m: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first matrix row of each distinct row, in search order, and per row
-    the position of its distinct row in that order.
-
-    The search order takes the distinct rows by (row sum, first row), so a
-    block holds rows of similar sums.
-    """
-    _, first, inverse = np.unique(m, axis=0, return_index=True, return_inverse=True)
-    order = np.lexsort((first, sums[first]))
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return first[order], rank[inverse.reshape(m.shape[0])]
 
 
 def _window_euclidean(queries: np.ndarray, candidates: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
@@ -186,7 +174,7 @@ def nearest_rows(
     k: int,
     include_self: bool,
     *,
-    too_large: type[ConfigError] = ConfigError,
+    too_large: type[KTooLarge | PTooLarge] = KTooLarge,
 ) -> Pools:
     """Per row, the k nearest rows of ``matrix`` and their distances.
 
@@ -198,16 +186,22 @@ def nearest_rows(
     n, w = m.shape
     limit = n if include_self else n - 1
     if k < 1 or k > limit:
-        raise too_large(f"k={k} out of range [1, {limit}] for {n} rows (include_self={include_self})")
+        raise too_large(f"{too_large.key}={k} out of range [1, {limit}] for {n} rows (include_self={include_self})")
 
     sums = m.sum(axis=1)
     # a bound on how far a computed row sum can lie from the exact one
     slack = 4 * w * _EPS * np.abs(m).sum(axis=1)
-    windowed = w > 0 and bool(np.isfinite(sums).all() and np.isfinite(slack).all())
-    reps, inverse = _distinct_rows(m, sums)
-    # the original rows of distinct rows [a, b) are members[first[a]:first[b]]
-    members = np.argsort(inverse)
-    first = np.concatenate(([0], np.cumsum(np.bincount(inverse))))
+    windowed = bool(np.isfinite(sums).all() and np.isfinite(slack).all())
+    # every row by (sum, row, index): equal rows are runs, so the distinct rows
+    # are runs [bounds[r], bounds[r + 1]) of it, and the rows whose sums lie in
+    # an interval are one slice
+    order = np.lexsort((*m.T[::-1], sums))
+    new = np.concatenate(([True], (m[order[1:]] != m[order[:-1]]).any(axis=1)))
+    bounds = np.append(np.flatnonzero(new), n)
+    # per position in the order, the run it belongs to
+    run = np.cumsum(new) - 1
+    reps = order[bounds[:-1]]
+    sorted_sums = sums[order]
     lead = int(include_self)
     # a row left out of its own pool needs one spare candidate
     kk = k + 1 - lead
@@ -218,24 +212,20 @@ def nearest_rows(
     distances = np.empty((n, k), dtype=float)
     scratch = np.empty(max(_TILE_ROWS * n, _TILE_SIZE))
     block = np.empty(min(_BLOCK_ROWS, reps.size) * n)
-    # every row by (sum, index): the rows whose sums lie in an interval are one slice
-    by_sum = np.argsort(sums, kind="stable")
-    sorted_sums = sums[by_sum]
     slack_max = slack.max(initial=0.0)
     h = 0.0
     for start in range(0, reps.size, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, reps.size)
         rows = reps[start:stop]
+        a, b = bounds[start], bounds[stop]
         s = sums[rows]
         if not windowed:
-            cols, vals = _measure(m, rows, by_sum, kk, block, scratch)
+            cols, vals = _measure(m, rows, order, kk, block, scratch)
         else:
             # the block's sums widened by h, and by at least 2 kk rows on either side
-            lo = max(0, min(np.searchsorted(sorted_sums, s.min() - h),
-                            np.searchsorted(sorted_sums, s.min()) - 2 * kk))
-            hi = min(n, max(np.searchsorted(sorted_sums, s.max() + h, "right"),
-                            np.searchsorted(sorted_sums, s.max(), "right") + 2 * kk))
-            cols, vals = _measure(m, rows, by_sum[lo:hi], kk, block, scratch)
+            lo = max(0, min(np.searchsorted(sorted_sums, s.min() - h), a - 2 * kk))
+            hi = min(n, max(np.searchsorted(sorted_sums, s.max() + h, "right"), b + 2 * kk))
+            cols, vals = _measure(m, rows, order[lo:hi], kk, block, scratch)
             # |sum a - sum b| <= sqrt(w) |a - b|, so every row within the kk-th
             # distance, ties included, has a sum within reach of s; the reach
             # is widened by the rounding of distances and sums
@@ -252,13 +242,13 @@ def nearest_rows(
                 # to every sum any of them can reach, which certifies them all
                 lo2 = min(lo, np.searchsorted(sorted_sums, (s - reach)[left].min()))
                 hi2 = max(hi, np.searchsorted(sorted_sums, (s + reach)[left].max(), "right"))
-                cols[left], vals[left] = _measure(m, rows[left], by_sum[lo2:hi2], kk, block, scratch)
+                cols[left], vals[left] = _measure(m, rows[left], order[lo2:hi2], kk, block, scratch)
 
         # a member and every entry before it in the shared order are at
         # distance 0, so moving it to the front or leaving it out keeps the
         # distances in place: a pool's are the shared ones from column 1 - lead
-        own = members[first[start]:first[stop]]
-        group = inverse[own] - start
+        own = order[a:b]
+        group = run[a:b] - start
         distances[own] = vals[group, 1 - lead : 1 - lead + k]
         # the shared order skips a member from where the member itself stands
         shared = cols[group]

@@ -13,7 +13,7 @@ import numpy as np
 
 from .ensemble import Ensemble, run_batch
 from .errors import InvalidLag, KTooLarge
-from .kernels import ResamplingKernel, harmonic_kernel
+from .kernels import ResamplingKernel, make_kernel
 from .neighbors import Pools, embed, nearest_rows, sample
 from .series import HourlySeries
 
@@ -36,13 +36,14 @@ def generate_nnlb(
     source: HourlySeries,
     lag: int,
     k: int,
-    kernel: ResamplingKernel | None = None,
+    kernel: ResamplingKernel | str = "harmonic",
     include_self: bool = True,
     seed: int = 0,
 ) -> HourlySeries:
     """One synthetic series; deterministic for a fixed seed."""
-    kernel = kernel or harmonic_kernel(k)
     pools = find_neighbor_pools(build_lag_matrix(source, lag), k, include_self)
+    # a named kernel is built only once the search has accepted k
+    kernel = kernel if isinstance(kernel, ResamplingKernel) else make_kernel(kernel, k)
     indices = sample(source, pools, kernel, np.random.default_rng(seed))
     return HourlySeries(source.values[indices], label=f"{source.label}_nnlb")
 
@@ -53,7 +54,7 @@ def generate_nnlb_batch(
     k: int,
     B: int,
     master_seed: int,
-    kernel: ResamplingKernel | None = None,
+    kernel: ResamplingKernel | str = "harmonic",
     include_self: bool = True,
     threads: int = 1,
 ) -> Ensemble:
@@ -62,7 +63,8 @@ def generate_nnlb_batch(
     Pools and kernel are precomputed once and shared read-only across the
     batch; series b is a pure function of (source, config, child seed b).
     """
-    kernel = kernel or harmonic_kernel(k)
     pools = find_neighbor_pools(build_lag_matrix(source, lag), k, include_self)
+    # a named kernel is built only once the search has accepted k
+    kernel = kernel if isinstance(kernel, ResamplingKernel) else make_kernel(kernel, k)
     config = {"lag": lag, "k": k, "kernel": kernel.name, "include_self": include_self, "B": B}
     return run_batch(partial(sample, source, pools, kernel), source, "nnlb", config, B, master_seed, threads=threads)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .ensemble import Ensemble, run_batch
 from .errors import InvalidSash, PTooLarge
-from .kernels import ResamplingKernel, uniform_kernel
+from .kernels import ResamplingKernel, make_kernel
 from .neighbors import Pools, embed, nearest_rows, sample
 from .series import HourlySeries
 
@@ -38,11 +38,12 @@ def generate_sbb(
     p: int,
     include_self: bool = True,
     seed: int = 0,
-    kernel: ResamplingKernel | None = None,
+    kernel: ResamplingKernel | str = "uniform",
 ) -> HourlySeries:
     """One synthetic series; uniform pool selection unless a kernel is given."""
-    kernel = kernel or uniform_kernel(p)
     pools = find_window_pools(build_windows(source, sash), p, include_self)
+    # a named kernel is built only once the search has accepted p
+    kernel = kernel if isinstance(kernel, ResamplingKernel) else make_kernel(kernel, p)
     indices = sample(source, pools, kernel, np.random.default_rng(seed))
     return HourlySeries(source.values[indices], label=f"{source.label}_sbb")
 
@@ -54,11 +55,12 @@ def generate_sbb_batch(
     B: int,
     master_seed: int,
     include_self: bool = True,
-    kernel: ResamplingKernel | None = None,
+    kernel: ResamplingKernel | str = "uniform",
     threads: int = 1,
 ) -> Ensemble:
     """B independent series; same child-seed scheme as the NNLB batch."""
-    kernel = kernel or uniform_kernel(p)
     pools = find_window_pools(build_windows(source, sash), p, include_self)
+    # a named kernel is built only once the search has accepted p
+    kernel = kernel if isinstance(kernel, ResamplingKernel) else make_kernel(kernel, p)
     config = {"sash": sash, "p": p, "kernel": kernel.name, "include_self": include_self, "B": B}
     return run_batch(partial(sample, source, pools, kernel), source, "sbb", config, B, master_seed, threads=threads)

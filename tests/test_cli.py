@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -351,6 +352,9 @@ class TestVre:
         ({"weights": {"solar": float("nan"), "wind": 2}}, "'solar' must be a finite number"),
         ({"sweep": {"curtailment_cap": 0.5, "solar_weights": [0, float("inf")], "wind_weights": [0, 2]}},
          "'solar_weights' must be a list of finite numbers"),
+        # an int no float can hold
+        ({"sweep": {"curtailment_cap": 0.5, "solar_weights": [1, 10**400], "wind_weights": [0, 2]}},
+         "'solar_weights' must be a list of finite numbers"),
     ])
     def test_non_finite_number_is_config_error(self, tmp_path, capsys, setting, message):
         # every comparison with NaN is false, so a NaN shortfall_fraction would
@@ -471,6 +475,23 @@ class TestExitCodes:
         flags = [] if in_config else ["--B", str(10**20)]
         assert main(["generate", write_config(tmp_path, cfg), *flags]) == EXIT_CONFIG
         assert f"B={10**20} is too large" in capsys.readouterr().err
+        assert_nothing_written(out)
+
+    @pytest.mark.parametrize("size", [10**7, 10**20])
+    @pytest.mark.parametrize("method, params, key", [("nnlb", {"lag": 3}, "k"), ("sbb", {"sash": 2}, "p")])
+    def test_pool_size_is_refused_before_it_is_allocated(self, tmp_path, capsys, method, params, key, size):
+        # a whole run on this fixture peaks at about 2.6 MiB, and a kernel of
+        # 10**7 ranks alone holds 76 MiB
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"input": SOLAR, "method": method, "params": params | {key: size}, "B": 1,
+                                      "seed": 1, "output_dir": str(out)})
+        tracemalloc.start()
+        try:
+            assert main(["generate", cfg]) == EXIT_CONFIG
+            assert tracemalloc.get_traced_memory()[1] < 4 * 2**20
+        finally:
+            tracemalloc.stop()
+        assert f"{key}={size} out of range" in capsys.readouterr().err
         assert_nothing_written(out)
 
     def test_pair_count_numpy_cannot_represent_is_config_error(self, tmp_path, capsys, small_ensembles):
@@ -603,6 +624,8 @@ odd_values = st.one_of(
     st.integers(min_value=-2, max_value=6),
     st.floats(min_value=-3, max_value=6),
     st.sampled_from([float("nan"), float("inf"), None, True, "two", "", [], [3], {}]),
+    # sizes numpy refuses before it allocates anything, and an int no float can hold
+    st.sampled_from([10**20, 10**400, [10**400]]),
 )
 
 
@@ -610,6 +633,8 @@ DOCUMENTED_EXITS = (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_VALIDATION)
 
 
 @given(method=st.sampled_from(["sbb", "nnlb"]), B=odd_values, seed=odd_values, a=odd_values, b=odd_values)
+@example(method="sbb", B=1, seed=1, a=2, b=10**20)
+@example(method="nnlb", B=1, seed=1, a=3, b=10**20)
 @settings(max_examples=40, deadline=None)
 def test_fuzzed_generate_config_exits_with_a_documented_code(tmp_path_factory, method, B, seed, a, b):
     tmp_path = tmp_path_factory.mktemp("fuzz")
@@ -724,6 +749,7 @@ def test_fuzzed_analyze_config_exits_with_a_documented_code(tmp_path_factory, sm
     "sweep.solar_weights", "sweep.wind_weights", "ensembles", "ensembles.solar_dir", "ensembles.pairing_seed",
     "ensembles.pairs",
 ]))
+@example(actions={"sweep"}, odd={"sweep.solar_weights": [10**400]})
 @settings(max_examples=60, deadline=None)
 def test_fuzzed_vre_config_exits_with_a_documented_code(tmp_path_factory, small_ensembles, actions, odd):
     tmp_path = tmp_path_factory.mktemp("fuzz")
