@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -11,6 +12,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ChecksumMismatch, ConfigError, IOErrorSS, LengthMismatch, MalformedManifest, ValidationError
+from .neighbors import index_dtype
 from .series import HourlySeries, _bare_body, _bare_column, _cell_text, _format_cells, _read_text, load_csv, write_json
 
 MANIFEST_NAME = "manifest.json"
@@ -136,10 +138,14 @@ class Ensemble:
                 run_codes = codes[start : start + step]
                 return table[run_codes], text[run_codes].tolist()
 
+        # member paths are joined as strings, since pathlib interns each name
+        # it parses: the names could make the interpreter's table of interned
+        # strings grow inside a save (by 1.9 MB once, in a test session)
         for start in range(0, B, step):
             rows, cells = run(start)
             for name, row, row_cells in zip(names[start : start + step], rows, cells):
-                (directory / name).write_bytes(_bare_body(row_cells))
+                with open(os.path.join(directory, name), "wb") as f:
+                    f.write(_bare_body(row_cells))
                 checksums.append(hashlib.sha256(row.tobytes()).hexdigest())
             del rows, cells  # so that no run is held while the next one is formatted
         manifest = {
@@ -237,8 +243,8 @@ def run_batch(
     ``generate_one(rng) -> np.ndarray`` returns one member of the source's
     length as indices into ``source.values`` and must depend only on the
     supplied RNG, so results are independent of generation order. The
-    indices are kept as uint16 while the source has at most 65536 values,
-    as uint32 above. ``threads`` is accepted for compatibility and has no
+    indices are kept in the dtype ``neighbors.index_dtype(n)`` gives for
+    the source's n values. ``threads`` is accepted for compatibility and has no
     effect: a thread pool over the members was slower than one loop at 2
     threads.
     """
@@ -246,7 +252,7 @@ def run_batch(
         raise ConfigError(f"B must be >= 1, got {B}")
     n = len(source)
     try:
-        codes = np.empty((B, n), dtype=np.uint16 if n <= 1 << 16 else np.uint32)
+        codes = np.empty((B, n), dtype=index_dtype(n))
     except ValueError:  # a shape numpy cannot represent, refused before allocating
         raise ConfigError(f"B={B} is too large: {B} members of {n} values do not fit in one array") from None
     for b in range(B):

@@ -75,9 +75,9 @@ from .errors import ConfigError, KTooLarge, PTooLarge
 from .kernels import ResamplingKernel
 from .series import HourlySeries
 
-# distinct rows per search block; a block holds a few (rows, window) temporaries
-# (the distances, the partition, the tie-closure masks), all views of buffers
-# sized for a (_BLOCK_ROWS, n) block, so this bounds peak memory
+# distinct rows per search block; a block's (rows, window) distances are a view
+# of one buffer sized for a (_BLOCK_ROWS, n) block, and its tie-closure masks
+# take a byte per distance, so this bounds peak memory
 _BLOCK_ROWS = 128
 # query rows per distance pass: a pass subtracts, squares and adds one column
 # at a time into a tile of one scratch row per candidate, at least _TILE_ROWS
@@ -87,6 +87,11 @@ _BLOCK_ROWS = 128
 # 16384 entries and 23.9 to 24.7 ms in tiles of 8192 to 70080)
 _TILE_ROWS = 8
 _TILE_SIZE = 16384
+# block rows per argpartition call in _select: its intp result is as wide as
+# the window, up to 3.7 MB per block on the year wind search when taken
+# block-high (slices of 8, 16 and 32 rows took within 3% of one another on the
+# three year searches of the case study)
+_PARTITION_ROWS = 16
 _EPS = np.finfo(float).eps
 # w * _UNDERFLOW bounds what squares flushed to zero, each below 2**-1075,
 # take off sqrt(w) times a distance: sqrt(w) * sqrt(w * 2**-1075) < w * 2**-535
@@ -94,10 +99,17 @@ _UNDERFLOW = 2.0**-535
 
 
 class Pools(NamedTuple):
-    """Per row, the source indices of its k nearest rows and their distances, both (n, k)."""
+    """Per row, the source indices of its k nearest rows and their distances,
+    both (n, k): the indices in the dtype of ``index_dtype(n)``, the distances float64."""
 
     indices: np.ndarray
     distances: np.ndarray
+
+
+def index_dtype(n: int) -> np.dtype:
+    """The dtype of an index into n values: the narrowest unsigned integer
+    that holds n - 1, uint16 while n <= 65536 and uint32 above."""
+    return np.dtype(np.uint16 if n <= 1 << 16 else np.uint32)
 
 
 def embed(source: HourlySeries, offsets: np.ndarray) -> np.ndarray:
@@ -129,7 +141,9 @@ def _select(d: np.ndarray, kk: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row of ``d``, the columns of its first ``kk`` entries in the order
     (value, column), and those values: the first ``kk`` of a stable sort."""
     rows = np.arange(d.shape[0])
-    cols = np.argpartition(d, kk - 1, axis=1)[:, :kk].copy()
+    cols = np.empty((d.shape[0], kk), dtype=np.intp)
+    for r in range(0, d.shape[0], _PARTITION_ROWS):
+        cols[r : r + _PARTITION_ROWS] = np.argpartition(d[r : r + _PARTITION_ROWS], kk - 1, axis=1)[:, :kk]
     kth = d[rows, cols[:, kk - 1]][:, None]
     # rows with more than kk candidates within the kk-th distance, where
     # partition chose among the equal ones arbitrarily: keep every closer
@@ -208,7 +222,7 @@ def nearest_rows(
     # column j of a pool comes from column j or j + 1 of the shared order
     j = np.arange(k - lead)
 
-    indices = np.empty((n, k), dtype=np.intp)
+    indices = np.empty((n, k), dtype=index_dtype(n))
     distances = np.empty((n, k), dtype=float)
     scratch = np.empty(max(_TILE_ROWS * n, _TILE_SIZE))
     block = np.empty(min(_BLOCK_ROWS, reps.size) * n)
@@ -260,8 +274,9 @@ def nearest_rows(
 
 
 def sample(source: HourlySeries, pools: Pools, kernel: ResamplingKernel, rng: np.random.Generator) -> np.ndarray:
-    """One member as source indices: per point a pool rank drawn from ``kernel``,
-    and the neighbour at that rank; ``source.values`` at them is the member."""
+    """One member as source indices, in the pools' dtype: per point a pool rank
+    drawn from ``kernel``, and the neighbour at that rank; ``source.values`` at
+    them is the member."""
     n, k = len(source), pools.indices.shape[1]
     if kernel.k != k:
         raise ConfigError(f"kernel has {kernel.k} ranks but the pools hold {k} neighbours per point")

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from synthseries import neighbors, nnlb, sbb
+from synthseries.kernels import uniform_kernel
 from synthseries.neighbors import nearest_rows
 from synthseries.series import HourlySeries
 from synthseries.nnlb import build_lag_matrix, find_neighbor_pools
@@ -307,10 +308,14 @@ class TestWindows:
             assert_stable_sort_pools(m, k, include_self)
 
 
+# tracemalloc peak of this search on numpy 2.4.6: 19.9 MB, of which the
+# float64 distances take 7.0 MB, the (128, n) block buffer 9.0 MB and the uint16
+# indices 1.75 MB; the bound leaves about 4 MB above it. The search peaked at
+# 28.2 MB with int64 indices and a block-high argpartition.
 def test_year_search_peak_memory():
-    """The per-block scatter keeps the year-length wind search near the size of
-    its own outputs plus one block; gathering every row's shared order at full
-    height would not."""
+    """The per-block scatter, pool indices of 16 bits and a partition taken
+    a few rows at a time keep the year-length wind search near the size of
+    its own outputs plus one block."""
     windows = build_windows(wind_like(YEAR, 2026), 4)
     tracemalloc.start()
     try:
@@ -318,7 +323,41 @@ def test_year_search_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    assert peak < 24e6
+
+
+def equal_rows_pools(n: int, k: int, include_self: bool) -> np.ndarray:
+    """``stable_sort_pools`` of n equal rows, extended from k + 1 of them: a
+    row past the first k + 1 has the last one's pool, with itself in its
+    place when included (the oracle's n x n distances do not fit at n = 2**16)."""
+    small = stable_sort_pools(np.empty((k + 1, 0)), k, include_self)[0]
+    pools = np.repeat(small[-1:], n, axis=0)
+    pools[: k + 1] = small
+    if include_self:
+        pools[k + 1 :, 0] = np.arange(k + 1, n)
+    return pools
+
+
+@pytest.mark.parametrize("n, dtype", [(1 << 16, np.uint16), ((1 << 16) + 1, np.uint32)])
+@pytest.mark.parametrize("columns", [0, 2])
+@pytest.mark.parametrize("include_self", [True, False])
+def test_pool_indices_take_the_narrowest_dtype_that_holds_a_row(n, dtype, columns, include_self):
+    """Equal rows are one run searched in one window, so a search of 2**16
+    rows is cheap; with ``include_self`` the last row's pool holds the
+    largest index."""
+    k = 3
+    pools = nearest_rows(np.full((n, columns), 0.5), k, include_self)
+    assert pools.indices.dtype == dtype == neighbors.index_dtype(n)
+    assert np.array_equal(pools.indices, equal_rows_pools(n, k, include_self))
+    assert pools.distances.dtype == np.float64 and not pools.distances.any()
+    member = neighbors.sample(HourlySeries(np.zeros(n)), pools, uniform_kernel(k), np.random.default_rng(n))
+    assert member.dtype == dtype
+
+
+def test_equal_rows_pools_is_the_oracle_where_it_fits():
+    for include_self in (True, False):
+        want = stable_sort_pools(np.full((12, 2), 0.5), 3, include_self)[0]
+        assert np.array_equal(equal_rows_pools(12, 3, include_self), want)
 
 
 @pytest.mark.parametrize("module, generate, build, find", [
