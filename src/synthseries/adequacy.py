@@ -128,22 +128,27 @@ def ensemble_adequacy(
     """Adequacy over randomly paired (solar, wind) synthetic series.
 
     Draws ``pairs`` uniform pairings (default: the larger ensemble size);
-    deterministic for a fixed pairing seed, mass 1/B on each result.
+    deterministic for a fixed pairing seed, mass 1/B on each result. Each
+    pair reads its two members alone, through ``Ensemble.rows``.
     """
     B = pairs if pairs is not None else max(len(solar_ensemble), len(wind_ensemble))
     if B < 1:
         raise OutOfRange(f"pairs must be >= 1, got {B}")
-    solar, wind = solar_ensemble.values, wind_ensemble.values
-    _check_lengths(solar[0], wind[0], nuclear, load)
+
+    def member(ensemble: Ensemble, b: int) -> np.ndarray:
+        return ensemble.rows(b, b + 1)[0]
+
+    _check_lengths(member(solar_ensemble, 0), member(wind_ensemble, 0), nuclear, load)
     _check_fraction(shortfall_fraction)
     rng = np.random.default_rng(pairing_seed)
     try:
-        si = rng.integers(0, len(solar), size=B)
+        si = rng.integers(0, len(solar_ensemble), size=B)
     except ValueError:  # a size numpy cannot represent, refused before allocating
         raise OutOfRange(f"pairs={B} is too large for one array of pair indices") from None
-    wi = rng.integers(0, len(wind), size=B)
+    wi = rng.integers(0, len(wind_ensemble), size=B)
     return [
-        _adequacy(weights.solar * solar[a] + weights.wind * wind[b], nuclear.values, load.values, shortfall_fraction)
+        _adequacy(weights.solar * member(solar_ensemble, a) + weights.wind * member(wind_ensemble, b),
+                  nuclear.values, load.values, shortfall_fraction)
         for a, b in zip(si, wi)
     ]
 

@@ -6,20 +6,21 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
 from .errors import ChecksumMismatch, ConfigError, IOErrorSS, LengthMismatch, MalformedManifest, ValidationError
 from .neighbors import index_dtype
-from .series import HourlySeries, _bare_body, _bare_column, _cell_text, _format_cells, _read_text, load_csv, write_json
+from .series import HourlySeries, _bare_body, _bare_cells, _cell_text, _format_cells, _read_text, load_csv, write_json
 
 MANIFEST_NAME = "manifest.json"
 
-# members are formatted in runs of about this many values, so that a save's
-# temporaries stay at a few MB: one np.unique over a whole (2000, 720)
-# ensemble of values alone would take about 35 MB
+# members are formatted, and read by the statistics, in runs of about this
+# many values, so that temporaries stay at a few MB: one np.unique over a
+# whole (2000, 720) ensemble of values alone would take about 35 MB
 _RUN_VALUES = 1 << 16
 
 # recorded in every manifest in place of a per-series seed list
@@ -40,15 +41,16 @@ def child_rng(master_seed: int, series_index: int) -> np.random.Generator:
     return np.random.default_rng(child_seed(master_seed, series_index))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """B synthetic series plus the provenance needed to regenerate them.
 
     ``values`` is a read-only (B, n) float64 matrix; row b is member b. An
-    ensemble built by ``decode`` holds the (table, codes) pair instead and
-    decodes ``values = table[codes]`` on first use: ``save`` writes it from
-    the pair, so a generated ensemble that is only saved never holds its
-    values whole.
+    ensemble built by ``decode``, as a batch or a load builds it, holds the
+    (table, codes) pair instead and decodes ``values = table[codes]`` on
+    first use: ``save`` writes it from the pair and the statistics read it
+    through ``blocks``, so neither holds its values whole. Equality and
+    hashing are by identity.
     """
 
     values: np.ndarray
@@ -56,7 +58,7 @@ class Ensemble:
     config: dict[str, Any]
     master_seed: int
     source_checksum: str
-    _coded: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
+    _coded: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         # a view, so that making it read-only leaves the caller's array as it was
@@ -106,6 +108,25 @@ class Ensemble:
         return int(self._shape[0])
 
     @property
+    def _run_rows(self) -> int:
+        """Members per run of about ``_RUN_VALUES`` values, one at least."""
+        return max(1, _RUN_VALUES // int(self._shape[1]))
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Members start to stop - 1 as a (rows, n) float64 matrix: a slice of
+        ``values`` once they are held, else decoded from the pair."""
+        if self._coded is None or "values" in vars(self):
+            return self.values[start:stop]
+        table, codes = self._coded
+        return table[codes[start:stop]]
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The members in order, as ``rows`` of about ``_RUN_VALUES`` values each."""
+        step = self._run_rows
+        for start in range(0, len(self), step):
+            yield self.rows(start, start + step)
+
+    @property
     def series(self) -> tuple[HourlySeries, ...]:
         """The members as series, copied from ``values`` on each access."""
         return tuple(HourlySeries(row) for row in self.values)
@@ -120,11 +141,11 @@ class Ensemble:
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        B, n = self._shape
+        B = len(self)
         width = max(4, len(str(B - 1)))
         names = [f"series_{b:0{width}d}.csv" for b in range(B)]
         checksums = []
-        step = max(1, _RUN_VALUES // n)
+        step = self._run_rows
         # a run's rows and cells, the cells as one list of strings per row
         if self._coded is None:
             def run(start: int) -> tuple[np.ndarray, list[list[str]]]:
@@ -162,35 +183,81 @@ class Ensemble:
 
     @classmethod
     def load(cls, directory: str | Path) -> "Ensemble":
-        """Read a saved ensemble, checking every member against its manifest
-        checksum and against the length of the first.
+        """Read a saved ensemble as a (table, codes) pair, checking every member
+        against its manifest checksum and against the length of the first
+        before the next is read.
 
-        A member that is not a bare value column of finite floats is read by
-        ``load_csv``, which reports what is wrong with it.
+        Each distinct cell text is parsed once, when first seen, and given the
+        next code; a member's codes are its cells' codes. They are uint16,
+        widened once to uint32 when the table outgrows ``index_dtype``'s rule,
+        and ``values`` is decoded from them on first use. A member that is not
+        a bare value column of finite floats is read by ``load_csv``, which
+        reports what is wrong with it, and the ``repr`` of each value it
+        returns is coded as its cell.
+
+        The cells of a bootstrap ensemble are at most its source's n values,
+        one member's worth. Members of values that are nearly all distinct
+        would make the dict from cell text to code hold every cell, at about
+        140 bytes each, so it is emptied before a member once it holds more
+        cells than one member and than ``_RUN_VALUES``; cells seen before
+        that are then parsed again and appended to the table a second time.
         """
         directory = Path(directory)
         manifest = _read_manifest(directory)
         files = manifest["series_files"]
-        values = np.empty((len(files), 0))
+        code_of: dict[str, int] = {}
+        table = np.empty(0)
+        size = 0  # entries of the table in use
+        codes = np.empty((len(files), 0), dtype=np.uint16)
         for b, (name, expected) in enumerate(zip(files, manifest["series_checksums"])):
-            path = directory / name
-            row = _bare_column(_read_text(path))
-            if row is None:
-                row = load_csv(path).values
-            if hashlib.sha256(row.tobytes()).hexdigest() != expected:
+            if len(code_of) > max(_RUN_VALUES, codes.shape[1]):
+                code_of.clear()
+            # joined as a string: pathlib would intern every member name (see save)
+            path = os.path.join(directory, name)
+            cells = _bare_cells(_read_text(path))
+            parsed = None if cells is None else _parse_unseen(cells, code_of)
+            if parsed is None:
+                cells = [repr(v) for v in load_csv(path).values.tolist()]
+                parsed = _parse_unseen(cells, code_of)
+            unseen, new_values = parsed
+            if size + len(unseen) > table.size:
+                table = np.concatenate([table[:size], np.empty(size + len(unseen))])
+            table[size : size + len(unseen)] = new_values
+            code_of.update(zip(unseen, range(size, size + len(unseen))))
+            size += len(unseen)
+            dtype = index_dtype(size)
+            row = np.fromiter(map(code_of.__getitem__, cells), dtype=dtype, count=len(cells))
+            if hashlib.sha256(table[row].tobytes()).hexdigest() != expected:
                 raise ChecksumMismatch(f"{path} does not match its manifest checksum")
             if b == 0:
-                values = np.empty((len(files), row.size))
-            elif row.size != values.shape[1]:
-                raise LengthMismatch(f"{path} has {row.size} values, {files[0]} has {values.shape[1]}")
-            values[b] = row
-        return cls(
-            values=values,
+                codes = np.empty((len(files), row.size), dtype=dtype)
+            elif row.size != codes.shape[1]:
+                raise LengthMismatch(f"{path} has {row.size} values, {files[0]} has {codes.shape[1]}")
+            if codes.dtype != dtype:
+                codes = codes.astype(dtype)
+            codes[b] = row
+        table = table[:size].copy()
+        for array in (table, codes):
+            array.setflags(write=False)
+        return cls.decode(
+            table,
+            codes,
             method=manifest["method"],
             config=manifest["config"],
             master_seed=manifest["master_seed"],
             source_checksum=manifest["source_checksum"],
         )
+
+
+def _parse_unseen(cells: list[str], code_of: dict[str, int]) -> tuple[list[str], np.ndarray] | None:
+    """The distinct cells that have no code yet, in the order they first
+    occur, and their values; None if one of them is not a finite float."""
+    unseen = list(dict.fromkeys(filterfalse(code_of.__contains__, cells)))
+    try:
+        values = np.fromiter(map(float, unseen), dtype=float, count=len(unseen))
+    except ValueError:
+        return None
+    return (unseen, values) if np.isfinite(values).all() else None
 
 
 _MANIFEST_FIELDS = {
@@ -222,8 +289,9 @@ def _read_manifest(directory: Path) -> dict[str, Any]:
     if not files:
         raise MalformedManifest(f"{path}: series_files is empty")
     for name in files:
-        # a member is read as directory / name, so the name must not leave the directory
-        if name in ("", ".", "..") or Path(name).name != name or any(c in name for c in "\\\0"):
+        # a member is read as directory / name, so the name must not leave the
+        # directory; it is checked as a string, since pathlib would intern it
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
             raise MalformedManifest(f"{path}: series_files entry {name!r} is not a file name")
     return manifest
 

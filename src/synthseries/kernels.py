@@ -14,15 +14,16 @@ from .errors import ConfigError
 _MIN_BUCKETS = 1 << 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResamplingKernel:
-    """Probabilities over ranks j = 1..k (index 0 is the nearest neighbor)."""
+    """Probabilities over ranks j = 1..k (index 0 is the nearest neighbor).
+    Equality and hashing are by identity."""
 
     probabilities: np.ndarray
     name: str = "custom"
-    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
-    _guide: np.ndarray = field(init=False, repr=False, compare=False)
-    _steps: int = field(init=False, repr=False, compare=False)
+    _cdf: np.ndarray = field(init=False, repr=False)
+    _guide: np.ndarray = field(init=False, repr=False)
+    _steps: int = field(init=False, repr=False)
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)

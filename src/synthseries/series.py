@@ -28,9 +28,9 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HourlySeries:
-    """Ordered hourly observations (MW or MWh/h)."""
+    """Ordered hourly observations (MW or MWh/h). Equality and hashing are by identity."""
 
     values: np.ndarray
     label: str = ""
@@ -130,21 +130,21 @@ def load_csv(
     )
 
 
-def _read_text(path: Path) -> str:
+def _read_text(path: str | Path) -> str:
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        return path.read_bytes().decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise UndecodableFile(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _bare_column(text: str, value_column: str = "value") -> np.ndarray | None:
-    """The values of a file that is one bare column under a ``value_column``
-    header, with at least one row and every cell a finite float; None for any
-    other text, which ``csv.reader`` then reads and reports on.
+def _bare_cells(text: str, value_column: str = "value") -> list[str] | None:
+    """The cells of a file that is one bare column under a ``value_column``
+    header, with at least one row; None for any other text.
 
     A bare column has no delimiter, quote or NUL anywhere. It is split into
-    lines at CR, LF or CRLF, as ``csv.reader`` splits it, and its cells are
-    converted with one ``float`` map.
+    lines at CR, LF or CRLF, as ``csv.reader`` splits it.
     """
     if any(c in text for c in _CSV_SYNTAX):
         return None
@@ -154,7 +154,17 @@ def _bare_column(text: str, value_column: str = "value") -> np.ndarray | None:
     # an empty first line is no header for csv.reader, not an empty name
     if len(lines) < 2 or not lines[0] or lines[0].strip() != value_column:
         return None
-    cells = lines[1:]
+    del lines[0]
+    return lines
+
+
+def _bare_column(text: str, value_column: str = "value") -> np.ndarray | None:
+    """The values of a bare column (see ``_bare_cells``) whose every cell is a
+    finite float, converted with one ``float`` map; None for any other text,
+    which ``csv.reader`` then reads and reports on."""
+    cells = _bare_cells(text, value_column)
+    if cells is None:
+        return None
     try:
         values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
     except ValueError:

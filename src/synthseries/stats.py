@@ -3,8 +3,8 @@
 Underage/overage compare chunk totals of a synthetic series against the
 original beyond a threshold (absolute energy per chunk, or a fraction of
 the original chunk's total). Over an ensemble these per-series values,
-taken along the rows of its (B, n) matrix, form an empirical distribution
-with mass 1/B each.
+taken along the rows of each block of its members, form an empirical
+distribution with mass 1/B each.
 """
 
 from __future__ import annotations
@@ -147,9 +147,9 @@ def overage(
     return float(totals[0]), int(counts[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExceedanceReport:
-    """Per-series statistic values with mass 1/B on each."""
+    """Per-series statistic values with mass 1/B on each. Equality and hashing are by identity."""
 
     statistic: str
     values: np.ndarray
@@ -176,11 +176,13 @@ def empirical_distribution(
     threshold: Threshold,
 ) -> ExceedanceReport:
     """Evaluate an exceedance statistic on every ensemble member, along the
-    rows of ``ensemble.values``."""
+    rows of each of ``ensemble.blocks()``."""
     if not isinstance(statistic, str) or statistic not in _STATISTICS:
         raise ConfigError(f"unknown statistic {statistic!r}")
     under, field = _STATISTICS[statistic]
-    values = _exceedance(original, ensemble.values, length, threshold, under)[field].astype(float)
+    values = np.concatenate(
+        [_exceedance(original, rows, length, threshold, under)[field] for rows in ensemble.blocks()]
+    ).astype(float)
     B = len(ensemble)
     return ExceedanceReport(statistic, values, np.full(B, 1.0 / B))
 
@@ -190,12 +192,13 @@ def ensemble_summary_table(
 ) -> dict[str, dict[str, float]]:
     """Distribution of each summary statistic across the ensemble.
 
-    Rows are the per-series statistics, each taken along axis 1 of the
-    (B, n) matrix by the code :func:`summarize` runs on one series; columns
-    are mean/std/min/25%/50%/75%/max over the B series, plus the original's
-    value when supplied.
+    Rows are the per-series statistics, each taken along axis 1 of each of
+    ``ensemble.blocks()`` by the code :func:`summarize` runs on one series;
+    columns are mean/std/min/25%/50%/75%/max over the B series, plus the
+    original's value when supplied.
     """
-    columns = _row_stats(ensemble.values, autocorr_lag)
+    blocks = [_row_stats(rows, autocorr_lag) for rows in ensemble.blocks()]
+    columns = {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
     orig = summarize(original, autocorr_lag) if original is not None else None
     table: dict[str, dict[str, float]] = {}
     for row, (attr, col) in zip(STAT_ROWS + [f"Autocorr. Lag: {autocorr_lag}"], columns.items()):

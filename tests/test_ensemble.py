@@ -209,9 +209,9 @@ def _edit_manifest(directory, **fields) -> None:
 
 
 class TestMemberCsv:
-    """Members are saved as runs of rows of the matrix and loaded into its rows;
-    each file holds the bytes csv.writer writes, and a file the bulk reader
-    refuses fails as load_csv fails on it."""
+    """Members are saved as runs of rows of the matrix and loaded into rows of
+    codes; each file holds the bytes csv.writer writes, and a file the bulk
+    reader refuses fails as load_csv fails on it."""
 
     RUN_ROWS = _RUN_VALUES // 720
 
@@ -319,3 +319,66 @@ def test_series_files_entry_that_is_no_file_name_is_refused(tmp_path, entry):
     _edit_manifest(tmp_path, series_files=[entry])
     with pytest.raises(MalformedManifest, match="series_files entry"):
         Ensemble.load(tmp_path)
+
+
+class TestCodedLoad:
+    """A load builds the (table, codes) pair a batch builds: each distinct cell
+    text is parsed once and members are rows of codes, decoded on first use."""
+
+    def test_loaded_values_stay_undecoded_in_uint16_codes(self, tmp_path, rng):
+        s = HourlySeries(np.round(np.abs(rng.normal(100, 10, size=60)), 1))
+        ens = generate_sbb_batch(s, 2, 3, B=5, master_seed=5)
+        ens.save(tmp_path)
+        back = Ensemble.load(tmp_path)
+        assert "values" not in vars(back) and len(back) == 5
+        table, codes = back._coded
+        assert codes.dtype == np.uint16 and codes.shape == (5, 60)
+        assert not codes.flags.writeable and not table.flags.writeable
+        assert table.size <= np.unique(s.values).size
+        assert back.rows(1, 3).tobytes() == ens.values[1:3].tobytes()
+        assert "values" not in vars(back)
+        assert back.values.tobytes() == ens.values.tobytes() and not back.values.flags.writeable
+
+    def test_more_than_65536_distinct_values_load_through_uint32_codes(self, tmp_path):
+        """Rows 3 and 4 repeat the values of rows 0 and 1: the cell dict was
+        emptied before row 3, so they are parsed and tabled again."""
+        values = np.arange(5 * 30_000, dtype=float).reshape(5, 30_000) / 7
+        values[3] = values[0]
+        values[4] = values[1][::-1]
+        _matrix_ensemble(values).save(tmp_path)
+        back = Ensemble.load(tmp_path)
+        table, codes = back._coded
+        assert codes.dtype == np.uint32 and table.size == values.size
+        assert back.values.tobytes() == values.tobytes()
+
+    def test_a_resaved_load_writes_the_same_files(self, tmp_path, rng):
+        n = 720
+        source = HourlySeries(_draws(rng, 1, n)[0])
+        B = TestMemberCsv.RUN_ROWS + 2
+        run_batch(lambda r: r.integers(0, n, size=n), source, "sbb", {"B": B}, B, 3).save(tmp_path / "a")
+        first = {p.name: p.read_bytes() for p in sorted((tmp_path / "a").iterdir())}
+        back = Ensemble.load(tmp_path / "a")
+        assert _saved(back, tmp_path / "b") == first
+        assert "values" not in vars(back)
+        for b in (0, B - 1):
+            assert first[f"series_{b:04d}.csv"] == oracles.csv_writer_text(back.rows(b, b + 1)[0].tolist()).encode()
+
+    def test_signed_zeros_take_two_codes(self, tmp_path):
+        values = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, -0.0]])
+        _matrix_ensemble(values).save(tmp_path)
+        back = Ensemble.load(tmp_path)
+        table, codes = back._coded
+        assert np.signbit(table[codes]).tolist() == np.signbit(values).tolist()
+        assert codes[0, 0] != codes[0, 1] and codes[0, 1] == codes[1, 0]
+        assert back.values.tobytes() == values.tobytes()
+
+    def test_cells_of_one_value_in_two_spellings(self, tmp_path):
+        """``1.50`` and ``1.5`` are two cells of one value: the checksum of the
+        member's floats still holds, and a re-save writes their ``repr``."""
+        _matrix_ensemble([[1.5, 1.5, 2.0], [2.0, 1.5, 1.5]]).save(tmp_path / "a")
+        first = (tmp_path / "a" / "series_0001.csv").read_bytes()
+        (tmp_path / "a" / "series_0001.csv").write_bytes(b"value\r\n2\r\n1.50\r\n1.5\r\n")
+        back = Ensemble.load(tmp_path / "a")
+        assert back.values.tolist() == [[1.5, 1.5, 2.0], [2.0, 1.5, 1.5]]
+        back.save(tmp_path / "b")
+        assert (tmp_path / "b" / "series_0001.csv").read_bytes() == first

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synthseries.ensemble import Ensemble
 from synthseries.errors import (
     EmptyFile,
     InvalidChunkLength,
@@ -19,7 +20,9 @@ from synthseries.errors import (
     UnparseableValue,
     ValidationError,
 )
+from synthseries.kernels import uniform_kernel
 from synthseries.series import HourlySeries, chunk_sums, load_csv, write_csv
+from synthseries.stats import ExceedanceReport
 
 from . import oracles
 
@@ -259,3 +262,18 @@ class TestCsvCodec:
             p = Path(d) / "s.csv"
             p.write_bytes((newline.join([header, *cells]) + (newline if final else "")).encode())
             assert _load_outcome(load_csv, p) == _load_outcome(oracles.csv_reader_load, p)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: HourlySeries([1.0, 2.0]),
+    lambda: Ensemble([[1.0, 2.0]], "sbb", {}, 0, "x"),
+    lambda: Ensemble.decode(np.array([1.0, 2.0]), np.array([[0, 1]], dtype=np.uint16), "sbb", {}, 0, "x"),
+    lambda: ExceedanceReport("underage", np.array([1.0, 2.0]), np.array([0.5, 0.5])),
+    lambda: uniform_kernel(2),
+], ids=["series", "ensemble", "decoded-ensemble", "report", "kernel"])
+def test_objects_holding_arrays_compare_and_hash_by_identity(make):
+    """Field-wise equality would compare arrays, whose truth value is
+    ambiguous, and hashing would hash them, which arrays refuse."""
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
