@@ -1,84 +1,61 @@
 """Non-parametric bootstrap generation of synthetic hourly time series,
 directional perturbation, and exceedance/adequacy statistics for
-energy-model sensitivity analysis."""
+energy-model sensitivity analysis.
 
-from .adequacy import (
-    AdequacyResult,
-    VreWeights,
-    adequacy,
-    combine_vre,
-    ensemble_adequacy,
-    seasonal_window,
-    weight_sweep,
-    windowed_adequacy,
-)
-from .ensemble import Ensemble, child_rng, child_seed
-from .kernels import ResamplingKernel, harmonic_kernel, uniform_kernel
-from .nnlb import build_lag_matrix, find_neighbor_pools, generate_nnlb, generate_nnlb_batch
-from .perturb import (
-    AlteredSeries,
-    ClampPolicy,
-    OffsetDistribution,
-    altered_difference,
-    direction_audit,
-    incremental_select,
-    normal_below_probability,
-)
-from .sbb import build_windows, find_window_pools, generate_sbb, generate_sbb_batch
-from .series import HourlySeries, chunk_sums, load_csv, write_csv
-from .stats import (
-    ExceedanceReport,
-    SummaryStats,
-    Threshold,
-    empirical_distribution,
-    ensemble_summary_table,
-    overage,
-    summarize,
-    underage,
-)
+Public names are imported from their modules on first use (PEP 562), so
+``import synthseries`` loads no numpy; ``synthseries.cli`` relies on that to
+fix the BLAS thread count before numpy starts it.
+"""
+
+import sys
+from importlib import import_module
+from types import ModuleType
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdequacyResult",
-    "AlteredSeries",
-    "ClampPolicy",
-    "Ensemble",
-    "ExceedanceReport",
-    "HourlySeries",
-    "OffsetDistribution",
-    "ResamplingKernel",
-    "SummaryStats",
-    "Threshold",
-    "VreWeights",
-    "adequacy",
-    "altered_difference",
-    "build_lag_matrix",
-    "build_windows",
-    "child_rng",
-    "child_seed",
-    "chunk_sums",
-    "combine_vre",
-    "direction_audit",
-    "empirical_distribution",
-    "ensemble_adequacy",
-    "ensemble_summary_table",
-    "find_neighbor_pools",
-    "find_window_pools",
-    "generate_nnlb",
-    "generate_nnlb_batch",
-    "generate_sbb",
-    "generate_sbb_batch",
-    "harmonic_kernel",
-    "incremental_select",
-    "load_csv",
-    "normal_below_probability",
-    "overage",
-    "seasonal_window",
-    "summarize",
-    "underage",
-    "uniform_kernel",
-    "weight_sweep",
-    "windowed_adequacy",
-    "write_csv",
-]
+_HOMES = {
+    "adequacy": (
+        "AdequacyResult", "VreWeights", "adequacy", "combine_vre", "ensemble_adequacy",
+        "seasonal_window", "weight_sweep", "windowed_adequacy",
+    ),
+    "ensemble": ("Ensemble", "child_rng", "child_seed"),
+    "kernels": ("ResamplingKernel", "harmonic_kernel", "uniform_kernel"),
+    "nnlb": ("build_lag_matrix", "find_neighbor_pools", "generate_nnlb", "generate_nnlb_batch"),
+    "perturb": (
+        "AlteredSeries", "ClampPolicy", "OffsetDistribution", "altered_difference", "direction_audit",
+        "incremental_select", "normal_below_probability",
+    ),
+    "sbb": ("build_windows", "find_window_pools", "generate_sbb", "generate_sbb_batch"),
+    "series": ("HourlySeries", "chunk_sums", "load_csv", "write_csv"),
+    "stats": (
+        "ExceedanceReport", "SummaryStats", "Threshold", "empirical_distribution", "ensemble_summary_table",
+        "overage", "summarize", "underage",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
+
+class _Package(ModuleType):
+    """Importing a submodule binds it on its package; the public function
+    ``adequacy`` keeps its name over the submodule of the same name."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if not (name in _HOME and isinstance(value, ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

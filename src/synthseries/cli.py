@@ -14,10 +14,20 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable
+
+# OpenBLAS reads this once, when numpy loads it, so it is set before the first
+# import below that pulls numpy in. Left unset, it starts one thread per CPU in
+# every command, which costs CPU time, and splits the dot product in
+# stats._autocorr above 10 000 values, so the bytes analyze writes would depend
+# on the host's core count and the caller's environment. Set outright, not
+# defaulted, for the same reason. The package namespace imports nothing eagerly
+# (see __init__), so library callers keep their own setting.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from . import stats as st
 from .adequacy import (

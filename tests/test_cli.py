@@ -386,12 +386,17 @@ def test_missing_config_file(tmp_path):
     assert main(["generate", str(tmp_path / "absent.json")]) == EXIT_IO
 
 
+def _subprocess_env(**extra: str) -> dict[str, str]:
+    """The caller's environment with this checkout's package first on the path."""
+    src = str(Path(synthseries.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra}
+
+
 def test_cli_import_does_not_load_scipy(tmp_path):
     """No command needs scipy: importing the CLI loads none of it, and generate,
     the one command that searches, runs with scipy blocked and writes the same
     members as an in-process run."""
-    src = str(Path(synthseries.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _subprocess_env()
     code = "import sys, synthseries.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
@@ -403,6 +408,80 @@ def test_cli_import_does_not_load_scipy(tmp_path):
     subprocess.run([sys.executable, "-c", blocked, "generate", cfg, "--output-dir", str(tmp_path / "blocked")],
                    env=env, capture_output=True, text=True, check=True)
     assert dir_bytes(tmp_path / "blocked") == dir_bytes(tmp_path / "in_process")
+
+
+def test_package_namespace_loads_its_names_on_first_use():
+    """``import synthseries`` loads no numpy, so the CLI can fix the BLAS thread
+    count before numpy starts it; every public name is still its home module's
+    object, also once the CLI has imported every submodule (the submodule
+    ``adequacy`` must not shadow the function), and ``import *`` binds them all."""
+    code = """
+import importlib, sys
+import synthseries
+assert "numpy" not in sys.modules, "import synthseries loaded numpy"
+import synthseries.cli
+for name in synthseries.__all__:
+    value = getattr(synthseries, name)
+    assert value is getattr(importlib.import_module(value.__module__), name), name
+namespace = {}
+exec("from synthseries import *", namespace)
+assert set(synthseries.__all__) <= namespace.keys()
+try:
+    synthseries.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("unknown attribute resolved")
+print(len(synthseries.__all__))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == str(len(synthseries.__all__))
+
+
+def test_cli_process_runs_blas_on_one_thread():
+    """Importing the CLI sets OPENBLAS_NUM_THREADS to 1 whatever the caller set,
+    before numpy loads, so the process holds no thread but its own."""
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("no /proc/self/task to count the process's threads")
+    code = "import os, synthseries.cli; print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))"
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(OPENBLAS_NUM_THREADS="4"),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["1", "1"]
+
+
+def _dot_bits_depend_on_blas_threads(n: int) -> bool:
+    """Whether plain numpy gives other ``x @ x`` bits at 2 BLAS threads than at 1
+    for n values; False on a 1-CPU host or a BLAS that does not split the sum."""
+    code = f"import numpy as np; x = np.random.default_rng(0).normal(size={n}); print(float(x @ x).hex())"
+    bits = [subprocess.run([sys.executable, "-c", code], env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                           capture_output=True, text=True, check=True).stdout for threads in ("1", "2")]
+    return bits[0] != bits[1]
+
+
+def test_analyze_bytes_do_not_follow_the_callers_blas_threads(tmp_path):
+    """analyze takes the lag autocorrelation with one BLAS dot product over each
+    member; OpenBLAS splits it across threads above 10 000 values, which changes
+    its rounding. The CLI pins one thread, so a two-year series gives the same
+    bytes whatever OPENBLAS_NUM_THREADS the caller sets."""
+    n = 17520
+    if not _dot_bits_depend_on_blas_threads(n):
+        pytest.skip(f"x @ x over {n} values gives the same bits at 1 and 2 BLAS threads here")
+    fixtures = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures.py"
+    subprocess.run([sys.executable, str(fixtures), "--length", str(n), "--seed", "7", "--out", str(tmp_path / "inputs")],
+                   capture_output=True, text=True, check=True)
+    wind = str(tmp_path / "inputs" / "synthetic_wind.csv")
+    ens = tmp_path / "ens"
+    assert main(["generate", write_config(tmp_path, {"input": wind, "method": "sbb", "params": {"sash": 2, "p": 10},
+                                                      "B": 4, "seed": 3, "output_dir": str(ens)})]) == EXIT_OK
+    out = tmp_path / "analysis"
+    cfg = write_config(tmp_path, {"ensemble_dir": str(ens), "original": wind, "output_dir": str(out)})
+    outputs = []
+    for threads in ("1", "2"):
+        subprocess.run([sys.executable, "-m", "synthseries.cli", "analyze", cfg],
+                       env=_subprocess_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True, check=True)
+        outputs.append(dir_bytes(out))
+    assert outputs[0] == outputs[1]
 
 
 class TestExitCodes:
