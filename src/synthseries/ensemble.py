@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import filterfalse
 from pathlib import Path
 from typing import Any, Iterator
@@ -14,13 +15,13 @@ import numpy as np
 
 from .errors import ChecksumMismatch, ConfigError, IOErrorSS, LengthMismatch, MalformedManifest, ValidationError
 from .neighbors import index_dtype
-from .series import HourlySeries, _bare_body, _bare_cells, _cell_text, _format_cells, _read_text, load_csv, write_json
+from .series import HourlySeries, _bare_body, _bare_cells, _cell_text, _distinct, _read_text, load_csv, write_json
 
 MANIFEST_NAME = "manifest.json"
 
-# members are formatted, and read by the statistics, in runs of about this
-# many values, so that temporaries stay at a few MB: one np.unique over a
-# whole (2000, 720) ensemble of values alone would take about 35 MB
+# members are decoded, formatted and read by the statistics in runs of about
+# this many values, so that temporaries stay at a few MB: the values of a
+# whole (2000, 720) ensemble alone take 11.5 MB, and its cells more
 _RUN_VALUES = 1 << 16
 
 # recorded in every manifest in place of a per-series seed list
@@ -41,34 +42,31 @@ def child_rng(master_seed: int, series_index: int) -> np.random.Generator:
     return np.random.default_rng(child_seed(master_seed, series_index))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Ensemble:
     """B synthetic series plus the provenance needed to regenerate them.
 
-    ``values`` is a read-only (B, n) float64 matrix; row b is member b. An
-    ensemble built by ``decode``, as a batch or a load builds it, holds the
-    (table, codes) pair instead and decodes ``values = table[codes]`` on
-    first use: ``save`` writes it from the pair and the statistics read it
-    through ``blocks``, so neither holds its values whole. Equality and
-    hashing are by identity.
+    The members are held as a (table, codes) pair: member b is
+    ``table[codes[b]]``. The constructor codes the (B, n) matrix it is given
+    (see ``series._distinct``), copying it; ``decode``, as a batch or a load
+    calls it, takes a pair as it is. ``values`` is the read-only (B, n)
+    float64 matrix, decoded on first use; ``save`` writes from the pair and
+    the statistics read it through ``blocks``, so neither holds the values
+    whole. Equality and hashing are by identity.
     """
 
-    values: np.ndarray
     method: str
     config: dict[str, Any]
     master_seed: int
     source_checksum: str
-    _coded: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
+    _coded: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
-    def __post_init__(self):
-        # a view, so that making it read-only leaves the caller's array as it was
-        values = np.asarray(self.values, dtype=float).view()
-        if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
-            raise ConfigError("ensemble must contain at least one non-empty series")
-        if not np.isfinite(values).all():
-            raise ValidationError("ensemble contains NaN or infinite values")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+    def __init__(self, values: Any, method: str, config: dict[str, Any], master_seed: int, source_checksum: str):
+        table, codes = _distinct(np.asarray(values, dtype=float))
+        codes = codes.astype(index_dtype(table.size))
+        for array in (table, codes):
+            array.setflags(write=False)
+        self._hold(table, codes, method, config, master_seed, source_checksum)
 
     @classmethod
     def decode(
@@ -78,45 +76,42 @@ class Ensemble:
         """The ensemble whose member b is ``table[codes[b]]``. A bootstrap batch
         passes its source values as the table and its members' source indices
         as the codes; ``save`` then formats each table entry once."""
+        ens = object.__new__(cls)
+        ens._hold(table, codes, method, config, master_seed, source_checksum)
+        return ens
+
+    def _hold(
+        self, table: np.ndarray, codes: np.ndarray, method: str, config: dict[str, Any], master_seed: int,
+        source_checksum: str,
+    ) -> None:
+        """Check the pair and set every field."""
         if codes.ndim != 2 or codes.shape[0] < 1 or codes.shape[1] < 1:
             raise ConfigError("ensemble must contain at least one non-empty series")
         if not np.isfinite(table).all():
             raise ValidationError("ensemble contains NaN or infinite values")
-        ens = object.__new__(cls)
         fields = {"method": method, "config": config, "master_seed": master_seed,
                   "source_checksum": source_checksum, "_coded": (table, codes)}
         for name, value in fields.items():
-            object.__setattr__(ens, name, value)
-        return ens
+            object.__setattr__(self, name, value)
 
-    def __getattr__(self, name: str):
-        # reached only for an attribute the instance lacks: the values of a
-        # decoded ensemble, until their first use
-        if name != "values" or self._coded is None:
-            raise AttributeError(name)
-        table, codes = self._coded
-        values = table[codes]
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The members as one read-only (B, n) float64 matrix, decoded on first use."""
+        values = self.rows(0, len(self))
         values.setflags(write=False)
-        object.__setattr__(self, "values", values)
         return values
 
-    @property
-    def _shape(self) -> tuple[int, int]:
-        return (self.values if self._coded is None else self._coded[1]).shape
-
     def __len__(self) -> int:
-        return int(self._shape[0])
+        return int(self._coded[1].shape[0])
 
     @property
     def _run_rows(self) -> int:
         """Members per run of about ``_RUN_VALUES`` values, one at least."""
-        return max(1, _RUN_VALUES // int(self._shape[1]))
+        return max(1, _RUN_VALUES // int(self._coded[1].shape[1]))
 
     def rows(self, start: int, stop: int) -> np.ndarray:
-        """Members start to stop - 1 as a (rows, n) float64 matrix: a slice of
-        ``values`` once they are held, else decoded from the pair."""
-        if self._coded is None or "values" in vars(self):
-            return self.values[start:stop]
+        """Members start to stop - 1, decoded from the pair as a (rows, n)
+        float64 matrix."""
         table, codes = self._coded
         return table[codes[start:stop]]
 
@@ -135,9 +130,7 @@ class Ensemble:
         """Write one CSV per member plus a JSON manifest with each member's sha256.
 
         Members are written in runs of about ``_RUN_VALUES`` values. A cell
-        is the ``repr`` of a table entry, formatted once per table: the table
-        of a decoded ensemble once per save, and for values alone the
-        distinct values of each run.
+        is the ``repr`` of a table entry, each entry formatted once per save.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -146,24 +139,14 @@ class Ensemble:
         names = [f"series_{b:0{width}d}.csv" for b in range(B)]
         checksums = []
         step = self._run_rows
-        # a run's rows and cells, the cells as one list of strings per row
-        if self._coded is None:
-            def run(start: int) -> tuple[np.ndarray, list[list[str]]]:
-                rows = self.values[start : start + step]
-                return rows, _format_cells(rows).tolist()
-        else:
-            table, codes = self._coded
-            text = _cell_text(table)
-
-            def run(start: int) -> tuple[np.ndarray, list[list[str]]]:
-                run_codes = codes[start : start + step]
-                return table[run_codes], text[run_codes].tolist()
-
+        table, codes = self._coded
+        text = _cell_text(table)
         # member paths are joined as strings, since pathlib interns each name
         # it parses: the names could make the interpreter's table of interned
         # strings grow inside a save (by 1.9 MB once, in a test session)
         for start in range(0, B, step):
-            rows, cells = run(start)
+            run_codes = codes[start : start + step]
+            rows, cells = table[run_codes], text[run_codes].tolist()
             for name, row, row_cells in zip(names[start : start + step], rows, cells):
                 with open(os.path.join(directory, name), "wb") as f:
                     f.write(_bare_body(row_cells))
@@ -306,7 +289,7 @@ def run_batch(
     threads: int = 1,
 ) -> Ensemble:
     """Generate B series, each from its own child seed, as the rows of one
-    matrix of source indices, decoded into values once.
+    matrix of source indices, which are the codes of the ensemble's pair.
 
     ``generate_one(rng) -> np.ndarray`` returns one member of the source's
     length as indices into ``source.values`` and must depend only on the

@@ -221,15 +221,22 @@ def write_json(obj: Any, path: str | Path) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _format_cells(values: np.ndarray) -> np.ndarray:
-    """``repr(float(v))`` of every value, as an object array of ``values``' shape.
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a float64 array as a table, and each value's
+    place in it as an intp array of ``values``' shape.
 
-    Each distinct value is formatted once: ``np.unique`` of the float64 bit
-    patterns (so -0.0 and 0.0 stay apart) gives a table of them and each
-    value's place in it.
+    The values are told apart by their bit patterns (``np.unique`` over
+    them), so -0.0 and 0.0 take two entries.
     """
     bits, codes = np.unique(values.view(np.uint64).ravel(), return_inverse=True)
-    return _cell_text(bits.view(np.float64))[codes.reshape(values.shape)]
+    return bits.view(np.float64), codes.reshape(values.shape)
+
+
+def _format_cells(values: np.ndarray) -> np.ndarray:
+    """``repr(float(v))`` of every value, as an object array of ``values``'
+    shape; each distinct value (see ``_distinct``) is formatted once."""
+    table, codes = _distinct(values)
+    return _cell_text(table)[codes]
 
 
 def _cell_text(table: np.ndarray) -> np.ndarray:

@@ -80,13 +80,16 @@ def _saved(ens: Ensemble, directory) -> dict[str, bytes]:
 
 
 def _values_alone(ens: Ensemble) -> Ensemble:
+    """The members of ``ens`` passed to the constructor, which codes them
+    afresh by their distinct bit patterns."""
     return Ensemble(ens.values, ens.method, ens.config, ens.master_seed, ens.source_checksum)
 
 
 def test_batch_saves_the_bytes_of_its_values_alone(tmp_path, rng):
-    """A batch formats its source once and writes cells by its index matrix;
-    the same values alone are formatted per run through np.unique. Both write
-    the same directory, manifest included, across a run boundary."""
+    """A batch's table is its source and its codes are source indices; the
+    constructor, given the same values, tables their distinct bit patterns
+    instead. Both write the same directory, manifest included, across a run
+    boundary."""
     values = np.round(np.abs(rng.normal(100, 30, size=500)), 1)
     values[100:200] = 0.0
     values[150:170] = -0.0
@@ -110,14 +113,42 @@ def test_index_matrix_is_uint16_up_to_65536_values(tmp_path, n, dtype):
     want = np.stack([source.values[child_rng(9, b).permutation(n)] for b in range(2)])
     assert ens.values.tobytes() == want.tobytes() and not ens.values.flags.writeable
     assert coded == _saved(_values_alone(ens), tmp_path / "plain")
+    assert Ensemble(np.arange(n, dtype=float)[None], "sbb", {}, 0, "x")._coded[1].dtype == dtype
 
 
-def test_decode_checks_what_the_constructor_checks():
-    codes = np.zeros((2, 3), dtype=np.uint16)
-    with pytest.raises(ValidationError):
-        Ensemble.decode(np.array([np.nan]), codes, "sbb", {}, 0, "x")
-    with pytest.raises(ConfigError):
-        Ensemble.decode(np.array([1.0]), codes[:0], "sbb", {}, 0, "x")
+@pytest.mark.parametrize("entry", ["constructor", "decode"])
+@pytest.mark.parametrize("values, error", [
+    (np.array([[1.0, np.nan, 3.0]]), ValidationError),
+    (np.array([[1.0, np.inf]]), ValidationError),
+    (np.array([[-np.inf, 1.0]]), ValidationError),
+    (np.ones(3), ConfigError),
+    (np.ones((2, 3, 1)), ConfigError),
+    (np.ones((3, 0)), ConfigError),
+    (np.ones((0, 3)), ConfigError),
+], ids=["nan", "inf", "-inf", "1-D", "3-D", "3x0", "0x3"])
+def test_decode_checks_what_the_constructor_checks(values, error, entry):
+    """Each bad matrix, given to the constructor or as the pair whose table
+    is its values and whose codes are their places."""
+    with pytest.raises(error):
+        if entry == "constructor":
+            Ensemble(values, "sbb", {}, 0, "x")
+        else:
+            codes = np.arange(values.size, dtype=np.uint16).reshape(values.shape)
+            Ensemble.decode(values.ravel(), codes, "sbb", {}, 0, "x")
+
+
+def test_constructor_copies_the_callers_matrix(tmp_path):
+    """A later write to the caller's array reaches neither the members, nor
+    their values, nor the saved files; the caller's array stays writeable."""
+    a = np.array([[1.0, 2.0, 3.0]])
+    ens = Ensemble(a, "sbb", {}, 0, "x")
+    a[0, 0] = 99.0
+    assert a.flags.writeable and a[0, 0] == 99.0
+    assert ens.rows(0, 1).tolist() == [[1.0, 2.0, 3.0]]
+    saved = _saved(ens, tmp_path)
+    assert saved["series_0000.csv"] == oracles.csv_writer_text([1.0, 2.0, 3.0]).encode()
+    assert json.loads(saved["manifest.json"])["series_checksums"] == [HourlySeries([1.0, 2.0, 3.0]).checksum()]
+    assert ens.values.tolist() == [[1.0, 2.0, 3.0]]
 
 
 def test_child_seed_is_the_child_rng_seed():
@@ -365,12 +396,13 @@ class TestCodedLoad:
 
     def test_signed_zeros_take_two_codes(self, tmp_path):
         values = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, -0.0]])
-        _matrix_ensemble(values).save(tmp_path)
-        back = Ensemble.load(tmp_path)
-        table, codes = back._coded
-        assert np.signbit(table[codes]).tolist() == np.signbit(values).tolist()
-        assert codes[0, 0] != codes[0, 1] and codes[0, 1] == codes[1, 0]
-        assert back.values.tobytes() == values.tobytes()
+        ens = _matrix_ensemble(values)
+        ens.save(tmp_path)
+        for back in (ens, Ensemble.load(tmp_path)):
+            table, codes = back._coded
+            assert np.signbit(table[codes]).tolist() == np.signbit(values).tolist()
+            assert codes[0, 0] != codes[0, 1] and codes[0, 1] == codes[1, 0]
+            assert back.values.tobytes() == values.tobytes()
 
     def test_cells_of_one_value_in_two_spellings(self, tmp_path):
         """``1.50`` and ``1.5`` are two cells of one value: the checksum of the
