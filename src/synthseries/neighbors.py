@@ -36,6 +36,12 @@ the shared order of its distinct row without itself, and with
 distance bytes are therefore exactly those of the full stable
 sort, at the cost of one pass over the candidates measured.
 
+Sampling reads only the pool indices, so the search keeps no (n, k)
+distance matrix (7 MB on a year at k = 100): ``Pools`` holds the indices,
+each row's k-th distance (``radii``) and the matrix searched, and
+``Pools.distances`` recomputes the pool distances from that matrix when it
+is read, with the same per-pair operations, so with the same bytes.
+
 Most candidates cannot enter a pool, and row sums show which (Friedman,
 Baskett & Shustek 1975): for rows a, b of width w,
 |sum a - sum b| <= sqrt(w) |a - b|. The runs are searched in blocks of
@@ -99,11 +105,32 @@ _UNDERFLOW = 2.0**-535
 
 
 class Pools(NamedTuple):
-    """Per row, the source indices of its k nearest rows and their distances,
-    both (n, k): the indices in the dtype of ``index_dtype(n)``, the distances float64."""
+    """Per row, the source indices of its k nearest rows, (n, k) in the dtype
+    of ``index_dtype(n)``; each row's k-th distance, (n, 1) float64; and the
+    float64 matrix that was searched, from which ``distances`` is rebuilt
+    (the caller's own array when it was float64 already, not a copy)."""
 
     indices: np.ndarray
-    distances: np.ndarray
+    radii: np.ndarray
+    rows: np.ndarray
+
+    @property
+    def distances(self) -> np.ndarray:
+        """(n, k) float64: per row, the distance to each pool entry, recomputed
+        from ``rows`` with the search's own per-pair operations, so the bytes
+        are the search's (sampling never reads them, so the search keeps none)."""
+        out = np.zeros(self.indices.shape)
+        sq = np.empty(self.indices.shape)
+        # the search's errstate: a square that overflows is an infinite distance;
+        # the sum starts at 0.0, which leaves the first square's bytes as they are
+        with np.errstate(over="ignore", invalid="ignore"):
+            for col in self.rows.T:
+                # pool indices are in range; "clip" only spares take a buffered copy of sq
+                np.take(col, self.indices, out=sq, mode="clip")
+                np.subtract(col[:, None], sq, out=sq)
+                np.multiply(sq, sq, out=sq)
+                out += sq
+            return np.sqrt(out, out=out)
 
 
 def index_dtype(n: int) -> np.dtype:
@@ -190,10 +217,11 @@ def nearest_rows(
     *,
     too_large: type[KTooLarge | PTooLarge] = KTooLarge,
 ) -> Pools:
-    """Per row, the k nearest rows of ``matrix`` and their distances.
+    """Per row, the k nearest rows of ``matrix``.
 
-    Returns ``Pools(indices, distances)``, both shaped (n, k), each row sorted by
-    non-decreasing distance with ties broken by smaller row index. When
+    Returns ``Pools(indices, radii, rows)``: the indices shaped (n, k), each
+    row sorted by non-decreasing distance with ties broken by smaller row
+    index, each row's k-th distance, and the float64 matrix searched. When
     ``include_self`` the first entry of row i is i itself at distance 0.
     """
     m = np.asarray(matrix, dtype=float)
@@ -223,7 +251,7 @@ def nearest_rows(
     j = np.arange(k - lead)
 
     indices = np.empty((n, k), dtype=index_dtype(n))
-    distances = np.empty((n, k), dtype=float)
+    radii = np.empty((n, 1))
     scratch = np.empty(max(_TILE_ROWS * n, _TILE_SIZE))
     block = np.empty(min(_BLOCK_ROWS, reps.size) * n)
     slack_max = slack.max(initial=0.0)
@@ -263,14 +291,14 @@ def nearest_rows(
         # distances in place: a pool's are the shared ones from column 1 - lead
         own = order[a:b]
         group = run[a:b] - start
-        distances[own] = vals[group, 1 - lead : 1 - lead + k]
+        radii[own, 0] = vals[group, k - lead]
         # the shared order skips a member from where the member itself stands
         shared = cols[group]
         past_self = np.cumsum(shared == own[:, None], axis=1)[:, : k - lead]
         indices[own, lead:] = np.take_along_axis(shared, j + past_self, axis=1)
         if include_self:
             indices[own, 0] = own
-    return Pools(indices, distances)
+    return Pools(indices, radii, m)
 
 
 def sample(source: HourlySeries, pools: Pools, kernel: ResamplingKernel, rng: np.random.Generator) -> np.ndarray:

@@ -298,9 +298,10 @@ class TestMemberCsv:
             got = type(exc), getattr(exc, "row", None), str(exc)
         assert got == expected
 
-    # tracemalloc peaks of save, measured on numpy 2.4.6: 2.95 MiB at
-    # (2000, 720) and 2.72 MiB at (100, 8760), from the run temporaries. One
-    # np.unique over the whole matrix would hold about 35 MB.
+    # tracemalloc peaks of save, measured on numpy 2.4.6: 2.39 MiB at
+    # (2000, 720) and 2.30 MiB at (100, 8760), from the table's cell text and
+    # one run's temporaries. One np.unique over the whole matrix would hold
+    # about 35 MB.
     @pytest.mark.parametrize("shape", [(2000, 720), (100, 8760)])
     def test_save_memory_stays_bounded_by_one_run(self, tmp_path, rng, shape):
         ens = _matrix_ensemble(_draws(rng, *shape))

@@ -90,7 +90,7 @@ def test_ranks_are_generator_choice_draws(name):
     kernel = RANK_KERNELS[name]
     k = kernel.k
     for n in (1, 2, 720, 8760):
-        pools = Pools(np.random.default_rng(n).integers(0, n, size=(n, k)), np.zeros((n, k)))
+        pools = Pools(np.random.default_rng(n).integers(0, n, size=(n, k)), np.zeros((n, 1)), np.zeros((n, 1)))
         source = HourlySeries(np.zeros(n))
         for seed in range(30):
             want = np.random.default_rng([seed, n]).choice(k, size=n, p=kernel.probabilities)

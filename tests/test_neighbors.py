@@ -64,10 +64,12 @@ def test_year_pools_match_golden_digest(name):
 
 
 def assert_stable_sort_pools(matrix, k, include_self):
-    indices, distances = nearest_rows(matrix, k, include_self)
+    pools = nearest_rows(matrix, k, include_self)
     ref_idx, ref_dist = stable_sort_pools(matrix, k, include_self)
-    assert np.array_equal(indices, ref_idx)
-    assert distances.tobytes() == ref_dist.tobytes()
+    assert np.array_equal(pools.indices, ref_idx)
+    assert pools.distances.tobytes() == ref_dist.tobytes()
+    assert pools.radii.shape == (ref_dist.shape[0], 1)
+    assert pools.radii.tobytes() == ref_dist[:, -1:].tobytes()
 
 
 def with_duplicates(n_distinct: int, copies: dict[int, int], seed: int) -> np.ndarray:
@@ -308,14 +310,16 @@ class TestWindows:
             assert_stable_sort_pools(m, k, include_self)
 
 
-# tracemalloc peak of this search on numpy 2.4.6: 19.9 MB, of which the
-# float64 distances take 7.0 MB, the (128, n) block buffer 9.0 MB and the uint16
-# indices 1.75 MB; the bound leaves about 4 MB above it. The search peaked at
-# 28.2 MB with int64 indices and a block-high argpartition.
+# tracemalloc peak of this search on numpy 2.4.6: 12.97 MB, of which the
+# (128, n) block buffer takes 9.0 MB and the uint16 indices 1.75 MB; the bound
+# leaves about 3 MB above it. The search peaked at 19.9 MB while it also kept
+# the (n, k) float64 distances (7.0 MB), and at 28.2 MB with int64 indices and
+# a block-high argpartition.
 def test_year_search_peak_memory():
-    """The per-block scatter, pool indices of 16 bits and a partition taken
-    a few rows at a time keep the year-length wind search near the size of
-    its own outputs plus one block."""
+    """Pool indices of 16 bits, a partition taken a few rows at a time and
+    no distance matrix (``Pools.distances`` is rebuilt only when read) keep
+    the year-length wind search near the size of its pool indices plus one
+    block."""
     windows = build_windows(wind_like(YEAR, 2026), 4)
     tracemalloc.start()
     try:
@@ -323,7 +327,7 @@ def test_year_search_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24e6
+    assert peak < 16e6
 
 
 def equal_rows_pools(n: int, k: int, include_self: bool) -> np.ndarray:
@@ -350,6 +354,7 @@ def test_pool_indices_take_the_narrowest_dtype_that_holds_a_row(n, dtype, column
     assert pools.indices.dtype == dtype == neighbors.index_dtype(n)
     assert np.array_equal(pools.indices, equal_rows_pools(n, k, include_self))
     assert pools.distances.dtype == np.float64 and not pools.distances.any()
+    assert pools.radii.shape == (n, 1) and pools.radii.tobytes() == np.zeros((n, 1)).tobytes()
     member = neighbors.sample(HourlySeries(np.zeros(n)), pools, uniform_kernel(k), np.random.default_rng(n))
     assert member.dtype == dtype
 
