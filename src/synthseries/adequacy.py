@@ -51,24 +51,33 @@ def _check_fraction(shortfall_fraction: float) -> None:
         raise OutOfRange(f"shortfall fraction must be finite, got {shortfall_fraction}")
 
 
+def _weighted(weights: VreWeights, solar: np.ndarray, wind: np.ndarray) -> np.ndarray:
+    """The weighted VRE hours; one that overflows float64 is left non-finite,
+    for the series or adequacy checks to refuse."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return weights.solar * solar + weights.wind * wind
+
+
 def combine_vre(solar: HourlySeries, wind: HourlySeries, weights: VreWeights) -> HourlySeries:
     _check_lengths(solar, wind)
-    return HourlySeries(weights.solar * solar.values + weights.wind * wind.values, label="vre")
+    return HourlySeries(_weighted(weights, solar.values, wind.values), label="vre")
 
 
 def _adequacy(vre: np.ndarray, nuclear: np.ndarray, load: np.ndarray, fraction: float | None) -> AdequacyResult:
     """Adequacy of one VRE vector of the length of ``nuclear`` and ``load``;
-    a ``fraction`` of None counts no shortfall days (a window of part days)."""
-    if load.sum() <= 0:
-        raise ZeroLoad("load energy is zero")
-    gen = nuclear + vre
-    if not np.isfinite(gen).all():
-        raise ValidationError("generation (nuclear + VRE) is not finite")
-    supplied = float(np.minimum(gen, load).sum() / load.sum())
-    vre_total = float(vre.sum())
-    surplus = float(np.maximum(gen - load, 0.0).sum())
-    shortfall = 0 if fraction is None else int(np.sum(chunk_sums(gen, 24) < fraction * chunk_sums(load, 24)))
-    return AdequacyResult(supplied, surplus / vre_total if vre_total > 0 else 0.0, shortfall)
+    a ``fraction`` of None counts no shortfall days (a window of part days).
+    Generation or an energy total that overflows float64 is a ValidationError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        load_total = float(load.sum())
+        if load_total <= 0:
+            raise ZeroLoad("load energy is zero")
+        gen = nuclear + vre  # an hour that overflows makes `met` or `surplus` non-finite
+        met, vre_total, surplus = (float(a.sum()) for a in (np.minimum(gen, load), vre, np.maximum(gen - load, 0.0)))
+        shortfall = 0 if fraction is None else int(np.sum(chunk_sums(gen, 24) < fraction * chunk_sums(load, 24)))
+    curtailed = surplus / vre_total if vre_total > 0 else 0.0
+    if not all(map(math.isfinite, (load_total, met, vre_total, surplus, curtailed))):
+        raise ValidationError("generation or an energy total overflows float64")
+    return AdequacyResult(met / load_total, curtailed, shortfall)
 
 
 def adequacy(
@@ -107,8 +116,7 @@ def weight_sweep(
     _check_fraction(shortfall_fraction)
     results: list[tuple[VreWeights, AdequacyResult]] = []
     for weights in grid:
-        vre = weights.solar * solar.values + weights.wind * wind.values
-        res = _adequacy(vre, nuclear.values, load.values, shortfall_fraction)
+        res = _adequacy(_weighted(weights, solar.values, wind.values), nuclear.values, load.values, shortfall_fraction)
         if res.percent_curtailed <= curtailment_cap:
             results.append((weights, res))
     results.sort(key=lambda t: (-t[1].percent_supplied, t[0].solar + t[0].wind))
@@ -147,7 +155,7 @@ def ensemble_adequacy(
         raise OutOfRange(f"pairs={B} is too large for one array of pair indices") from None
     wi = rng.integers(0, len(wind_ensemble), size=B)
     return [
-        _adequacy(weights.solar * member(solar_ensemble, a) + weights.wind * member(wind_ensemble, b),
+        _adequacy(_weighted(weights, member(solar_ensemble, a), member(wind_ensemble, b)),
                   nuclear.values, load.values, shortfall_fraction)
         for a, b in zip(si, wi)
     ]

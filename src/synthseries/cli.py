@@ -22,11 +22,10 @@ from typing import Any, Callable
 
 # OpenBLAS reads this once, when numpy loads it, so it is set before the first
 # import below that pulls numpy in. Left unset, it starts one thread per CPU in
-# every command, which costs CPU time, and splits the dot product in
-# stats._autocorr above 10 000 values, so the bytes analyze writes would depend
-# on the host's core count and the caller's environment. Set outright, not
-# defaulted, for the same reason. The package namespace imports nothing eagerly
-# (see __init__), so library callers keep their own setting.
+# every command, which costs CPU time and nothing else: the library makes no
+# BLAS call, so no output byte depends on it. Set outright, not defaulted, so a
+# caller's setting cannot bring the threads back. The package namespace imports
+# nothing eagerly (see __init__), so library callers keep their own setting.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from . import stats as st
@@ -62,25 +61,39 @@ def _load_config(path: str) -> dict[str, Any]:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
+    _refuse_non_finite(cfg, "config")
     return cfg
 
 
+def _refuse_non_finite(value: Any, key: str) -> None:
+    """Python's json reads NaN, Infinity and numbers beyond a float (as inf),
+    which JSON has none of. Outputs echo parts of the config, so such a number
+    anywhere in it is a config error naming its key."""
+    if isinstance(value, dict):
+        for name, item in value.items():
+            _refuse_non_finite(item, name)
+    elif isinstance(value, list):
+        if any(isinstance(item, float) and not math.isfinite(item) for item in value):
+            raise ConfigError(f"{key!r} must be a list of finite numbers, got {value!r}")
+        for item in value:
+            _refuse_non_finite(item, key)
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
+
+
 def _coerce(value: Any, kind: type, key: str) -> Any:
-    """``kind(value)``; a value that does not convert, a NaN or infinite
-    float, a bool, a string, or a float with a fractional part where an
-    integer is wanted is a config error. ``int`` and ``float`` would take the
-    last three silently: ``int(2.9)`` is 2, ``float(True)`` is 1.0 and
-    ``int(" 4 ")`` is 4."""
+    """``kind(value)``; a value that does not convert, a bool, a string, or a
+    float with a fractional part where an integer is wanted is a config error
+    (the config holds no NaN or infinite float). ``int`` and ``float`` would
+    take the last three silently: ``int(2.9)`` is 2, ``float(True)`` is 1.0
+    and ``int(" 4 ")`` is 4."""
     name = "an integer" if kind is int else "a number"
     if isinstance(value, (bool, str)) or (kind is int and isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{key!r} must be {name}, got {value!r}")
     try:
-        result = kind(value)
+        return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key!r} must be {name}, got {value!r}") from None
-    if kind is float and not math.isfinite(result):
-        raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
-    return result
 
 
 def _require(cfg: dict[str, Any], key: str, kind: type | None = None) -> Any:
@@ -259,7 +272,8 @@ def cmd_analyze(cfg: dict[str, Any]) -> int:
     length = _get(cfg, "chunk_hours", int, 24)
     statistic = cfg.get("statistic", "underage_count")
     report = st.empirical_distribution(ens, original, statistic, length, threshold)
-    # written only now, so a config error above leaves no output behind
+    distribution = report.describe()
+    # written only now, so an error above leaves no output behind
     st.write_table_csv(table, out_dir / "summary_table.csv")
     st.histogram_csv(report, out_dir / "exceedance_histogram.csv")
     write_json(
@@ -267,7 +281,7 @@ def cmd_analyze(cfg: dict[str, Any]) -> int:
             "statistic": statistic,
             "chunk_hours": length,
             "threshold": tcfg,
-            "distribution": report.describe(),
+            "distribution": distribution,
             "values": report.values.tolist(),
         },
         out_dir / "exceedance.json",

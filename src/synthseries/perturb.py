@@ -162,8 +162,9 @@ def incremental_select(
     rng = np.random.default_rng(seed)
     x = source.values
     z = dist.draw(len(source), rng)
-    hi = clamp.alpha_max * x
-    lo = clamp.alpha_min * x
+    with np.errstate(over="ignore"):  # a bound beyond float64 is no bound
+        hi = clamp.alpha_max * x
+        lo = clamp.alpha_min * x
     eps = np.where(z > hi, hi, np.where(z < lo, lo, z))
     return AlteredSeries(
         values=HourlySeries(x - eps, label=f"{source.label}_inc"),
@@ -198,12 +199,14 @@ def altered_difference(
     """
     if len(high) != len(low):
         raise LengthMismatch(f"series lengths differ: {len(high)} vs {len(low)}")
-    delta = high.values - low.values
-    if delta_nonneg:
-        delta = np.maximum(delta, 0.0)
-    r = low.values - alpha * delta
-    if result_nonneg:
-        r = np.maximum(r, 0.0)
+    # a result that overflows float64 is left non-finite, for HourlySeries to refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = high.values - low.values
+        if delta_nonneg:
+            delta = np.maximum(delta, 0.0)
+        r = low.values - alpha * delta
+        if result_nonneg:
+            r = np.maximum(r, 0.0)
     return AlteredSeries(
         values=HourlySeries(r, label=f"{low.label}_altdiff"),
         method="altered_difference",

@@ -215,10 +215,13 @@ def write_rows(path: str | Path, rows: Iterable[Sequence[Any]]) -> None:
 
 
 def write_json(obj: Any, path: str | Path) -> None:
-    """Write ``obj`` as indented JSON with sorted keys and a final newline."""
+    """Write ``obj`` as indented JSON with sorted keys and a final newline.
+    A NaN or infinite float raises ValueError before anything is written: JSON
+    has no such number."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
 
 
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

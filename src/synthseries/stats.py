@@ -5,6 +5,11 @@ original beyond a threshold (absolute energy per chunk, or a fraction of
 the original chunk's total). Over an ensemble these per-series values,
 taken along the rows of each block of its members, form an empirical
 distribution with mass 1/B each.
+
+Every sum is numpy's own, taken along an array axis and never by the BLAS,
+so the bytes do not depend on the CPU or the thread count. A statistic or
+total that overflows float64 raises ValidationError instead of being
+reported as NaN or inf.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .ensemble import Ensemble
-from .errors import ConfigError, LengthMismatch, SeriesTooShort
+from .errors import ConfigError, LengthMismatch, SeriesTooShort, ValidationError
 from .series import HourlySeries, chunk_sums, write_rows
 
 
@@ -42,35 +47,41 @@ STAT_ROWS = ["Min", "First Quartile", "Median", "Third Quartile", "Max",
              "Mean", "Standard Dev.", "Coeff. of Var."]
 
 
-def _autocorr(values: np.ndarray, lag: int) -> float:
-    """Non-circular lag-h sample autocorrelation of the centered series."""
-    x = values - values.mean()
-    denom = float(x @ x)
-    if denom == 0.0:
-        return 0.0
-    return float(x[:-lag] @ x[lag:]) / denom
+def _require_finite(what: str, *results: np.ndarray | float) -> None:
+    if not all(np.isfinite(r).all() for r in results):
+        raise ValidationError(f"{what} overflow float64; the values are too large to summarise")
 
 
 def _row_stats(values: np.ndarray, autocorr_lag: int) -> dict[str, np.ndarray]:
-    """Every :class:`SummaryStats` field of each row of a (rows, n) matrix, taken along axis 1."""
+    """Every :class:`SummaryStats` field of each row of a (rows, n) matrix, taken along axis 1.
+
+    Each row is centred once, for the std (by the steps of ``std(ddof=1)``) and the
+    non-circular lag autocorrelation (0 for a constant row)."""
     if autocorr_lag < 1:
         raise ConfigError(f"autocorr lag must be >= 1, got {autocorr_lag}")
-    if values.shape[1] <= autocorr_lag:
-        raise SeriesTooShort(f"length {values.shape[1]} must exceed autocorr lag {autocorr_lag}")
-    q1, med, q3 = np.percentile(values, [25, 50, 75], axis=1)  # linear interpolation
-    mean = values.mean(axis=1)
-    std = values.std(axis=1, ddof=1)
-    return {
-        "min": values.min(axis=1),
-        "q1": q1,
-        "median": med,
-        "q3": q3,
-        "max": values.max(axis=1),
-        "mean": mean,
-        "std": std,
-        "coeff_of_variation": np.divide(std, mean, out=np.zeros_like(std), where=mean != 0),
-        "autocorr": np.array([_autocorr(row, autocorr_lag) for row in values]),
-    }
+    n = values.shape[1]
+    if n <= autocorr_lag:
+        raise SeriesTooShort(f"length {n} must exceed autocorr lag {autocorr_lag}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        q1, med, q3 = np.percentile(values, [25, 50, 75], axis=1)  # linear interpolation
+        mean = values.mean(axis=1)
+        x = values - mean[:, None]
+        ss = np.multiply(x, x).sum(axis=1)
+        lagged = np.multiply(x[:, :-autocorr_lag], x[:, autocorr_lag:]).sum(axis=1)
+        std = np.sqrt(ss / (n - 1))
+        stats = {
+            "min": values.min(axis=1),
+            "q1": q1,
+            "median": med,
+            "q3": q3,
+            "max": values.max(axis=1),
+            "mean": mean,
+            "std": std,
+            "coeff_of_variation": np.divide(std, mean, out=np.zeros_like(std), where=mean != 0),
+            "autocorr": np.divide(lagged, ss, out=np.zeros_like(ss), where=ss != 0),
+        }
+    _require_finite("summary statistics", *stats.values())
+    return stats
 
 
 def summarize(series: HourlySeries, autocorr_lag: int = 24) -> SummaryStats:
@@ -80,9 +91,12 @@ def summarize(series: HourlySeries, autocorr_lag: int = 24) -> SummaryStats:
 
 def _spread(values: np.ndarray) -> tuple[float, ...]:
     """Mean, std, min, quartiles and max of per-member values."""
-    q1, med, q3 = np.percentile(values, [25, 50, 75])
-    std = float(values.std(ddof=1)) if values.size > 1 else 0.0
-    return float(values.mean()), std, float(values.min()), float(q1), float(med), float(q3), float(values.max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        q1, med, q3 = np.percentile(values, [25, 50, 75])
+        std = float(values.std(ddof=1)) if values.size > 1 else 0.0
+        spread = float(values.mean()), std, float(values.min()), float(q1), float(med), float(q3), float(values.max())
+    _require_finite("the spread of the per-member values", *spread)
+    return spread
 
 
 @dataclass(frozen=True)
@@ -124,11 +138,14 @@ def _exceedance(
     """
     if rows.shape[1] != len(original):
         raise LengthMismatch(f"series lengths differ: {len(original)} vs {rows.shape[1]}")
-    orig = chunk_sums(original.values, length)
-    synth = chunk_sums(rows, length)
-    gap = orig - synth if under else synth - orig
-    hit = gap >= threshold.per_chunk(orig)
-    return np.array([g[h].sum() for g, h in zip(gap, hit)]), hit.sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        orig = chunk_sums(original.values, length)
+        synth = chunk_sums(rows, length)
+        gap = orig - synth if under else synth - orig
+        hit = gap >= threshold.per_chunk(orig)
+        totals = np.array([g[h].sum() for g, h in zip(gap, hit)])
+    _require_finite("chunk totals or their gaps", orig, synth, totals)
+    return totals, hit.sum(axis=1)
 
 
 def underage(

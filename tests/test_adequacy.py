@@ -91,13 +91,20 @@ class TestAdequacy:
         with pytest.raises(OutOfRange, match="finite"):
             adequacy(s, s, s, shortfall_fraction=fraction)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("hours", [48, 30])
     def test_generation_that_overflows_is_validation_error(self, hours):
         # 1e308 + 1e308 is inf; a ragged window (30 hours) used to report it as curtailment
         big = HourlySeries(np.full(48, 1e308))
         with pytest.raises(ValidationError):
             windowed_adequacy(big, big, HourlySeries(np.ones(48)), 0, hours)
+
+    @pytest.mark.parametrize("hours", [48, 30])
+    def test_energy_total_that_overflows_is_validation_error(self, hours):
+        # every hour of generation is finite, but the VRE and surplus totals
+        # are not: inf / inf was reported as a NaN curtailed fraction
+        with pytest.raises(ValidationError, match="overflow"):
+            windowed_adequacy(HourlySeries(np.full(48, 1e308)), HourlySeries(np.zeros(48)), HourlySeries(np.ones(48)),
+                              0, hours)
 
     def test_fractions_in_unit_interval(self, rng):
         load = HourlySeries(np.abs(rng.normal(100, 30, size=240)) + 1)
@@ -155,7 +162,6 @@ class TestWeightSweep:
         with pytest.raises(LengthMismatch):
             weight_sweep(*series, 0.5, [1], [1])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_vre_that_overflows_is_validation_error(self):
         s = HourlySeries(np.full(48, 1e308))
         with pytest.raises(ValidationError):
@@ -219,10 +225,11 @@ class TestEnsembleAdequacy:
                 HourlySeries(np.ones(n["nuclear"])), HourlySeries(np.ones(n["load"])), VreWeights(1, 1), pairing_seed=3,
             )
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_pair_that_overflows_is_validation_error(self):
         # every member is finite; only the weighted sum of the pair is not
-        solar = matrix_ensemble(np.full((2, 48), 1e308))
+        peak = np.zeros((2, 48))
+        peak[:, 0] = 1e308
+        solar = matrix_ensemble(peak)
         wind = matrix_ensemble(np.ones((2, 48)))
         load = HourlySeries(np.ones(48))
         assert ensemble_adequacy(solar, wind, load, load, VreWeights(1, 1), pairing_seed=3)

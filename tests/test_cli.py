@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -450,38 +451,74 @@ def test_cli_process_runs_blas_on_one_thread():
     assert out.stdout.split() == ["1", "1"]
 
 
-def _dot_bits_depend_on_blas_threads(n: int) -> bool:
-    """Whether plain numpy gives other ``x @ x`` bits at 2 BLAS threads than at 1
-    for n values; False on a 1-CPU host or a BLAS that does not split the sum."""
-    code = f"import numpy as np; x = np.random.default_rng(0).normal(size={n}); print(float(x @ x).hex())"
-    bits = [subprocess.run([sys.executable, "-c", code], env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
-                           capture_output=True, text=True, check=True).stdout for threads in ("1", "2")]
-    return bits[0] != bits[1]
+def _blas_environments() -> dict[str, dict[str, str]]:
+    """Settings under which a sum could round otherwise than at one OpenBLAS
+    thread on the host's own kernel: two threads, each OpenBLAS kernel below
+    the host's that it can run (never one above, which could stop on an
+    illegal instruction), and numpy's SIMD dispatch cut back to its baseline
+    (disabling only features the host has)."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    envs = {"OPENBLAS_NUM_THREADS=2": {"OPENBLAS_NUM_THREADS": "2"},
+            "OPENBLAS_CORETYPE=Nehalem": {"OPENBLAS_CORETYPE": "Nehalem"}}
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.is_file() and "avx2" in cpuinfo.read_text().split():
+        envs["OPENBLAS_CORETYPE=Haswell"] = {"OPENBLAS_CORETYPE": "Haswell"}
+    dispatched = " ".join(feature for feature in __cpu_dispatch__ if __cpu_features__.get(feature))
+    if dispatched:
+        envs[f"NPY_DISABLE_CPU_FEATURES={dispatched}"] = {"NPY_DISABLE_CPU_FEATURES": dispatched}
+    return envs
 
 
-def test_analyze_bytes_do_not_follow_the_callers_blas_threads(tmp_path):
-    """analyze takes the lag autocorrelation with one BLAS dot product over each
-    member; OpenBLAS splits it across threads above 10 000 values, which changes
-    its rounding. The CLI pins one thread, so a two-year series gives the same
-    bytes whatever OPENBLAS_NUM_THREADS the caller sets."""
+# for each series, plain x @ x of it centred (OpenBLAS), then the bits of every statistic
+_SUMMARIZE = """
+import sys
+from synthseries import load_csv, summarize
+for path in sys.argv[1:]:
+    series = load_csv(path)
+    x = series.values - series.values.mean()
+    print(float(x @ x).hex(), *(float(v).hex() for v in summarize(series).as_dict().values()))
+"""
+
+
+def test_statistic_bytes_follow_neither_the_blas_nor_the_cpu(tmp_path):
+    """Every sum summarize and analyze take is numpy's pairwise sum, so on a
+    two-year series the library and the CLI write the same bytes at one and
+    two OpenBLAS threads, under each OpenBLAS kernel the host can run and with
+    numpy's SIMD dispatch cut back, where plain x @ x changes its last bits."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip(f"the forced kernels are x86-64 ones; this host is {platform.machine()}")
+    if "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+        pytest.skip("numpy is not built against OpenBLAS")
     n = 17520
-    if not _dot_bits_depend_on_blas_threads(n):
-        pytest.skip(f"x @ x over {n} values gives the same bits at 1 and 2 BLAS threads here")
     fixtures = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures.py"
     subprocess.run([sys.executable, str(fixtures), "--length", str(n), "--seed", "7", "--out", str(tmp_path / "inputs")],
                    capture_output=True, text=True, check=True)
-    wind = str(tmp_path / "inputs" / "synthetic_wind.csv")
+    solar, wind, load = (str(tmp_path / "inputs" / f"synthetic_{name}.csv") for name in ("solar", "wind", "load"))
+    envs = {"OPENBLAS_NUM_THREADS=1": {}, **_blas_environments()}
+
+    def run(args: list[str], extra: dict[str, str]) -> str:
+        return subprocess.run([sys.executable, *args], env=_subprocess_env(**{"OPENBLAS_NUM_THREADS": "1", **extra}),
+                              capture_output=True, text=True, check=True).stdout
+
+    dots, stats = {}, {}
+    for name, extra in envs.items():
+        lines = [line.split() for line in run(["-c", _SUMMARIZE, solar, wind, load], extra).splitlines()]
+        dots[name], stats[name] = [line[0] for line in lines], [line[1:] for line in lines]
+    if len({tuple(bits) for bits in dots.values()}) == 1:
+        pytest.skip(f"plain x @ x gives the same bits under every one of {', '.join(envs)}")
     ens = tmp_path / "ens"
     assert main(["generate", write_config(tmp_path, {"input": wind, "method": "sbb", "params": {"sash": 2, "p": 10},
                                                       "B": 4, "seed": 3, "output_dir": str(ens)})]) == EXIT_OK
     out = tmp_path / "analysis"
     cfg = write_config(tmp_path, {"ensemble_dir": str(ens), "original": wind, "output_dir": str(out)})
-    outputs = []
-    for threads in ("1", "2"):
-        subprocess.run([sys.executable, "-m", "synthseries.cli", "analyze", cfg],
-                       env=_subprocess_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True, check=True)
-        outputs.append(dir_bytes(out))
-    assert outputs[0] == outputs[1]
+    analyses = {}
+    for name, extra in envs.items():
+        run(["-m", "synthseries.cli", "analyze", cfg], extra)
+        analyses[name] = dir_bytes(out)
+    for name in envs:
+        assert stats[name] == stats["OPENBLAS_NUM_THREADS=1"], name
+        assert analyses[name] == analyses["OPENBLAS_NUM_THREADS=1"], name
 
 
 class TestExitCodes:
@@ -698,6 +735,51 @@ class TestExitCodes:
         assert self._analyze(tmp_path, ens, original=WIND) == EXIT_VALIDATION
         assert "generated from" in capsys.readouterr().err
 
+    def test_non_finite_number_in_a_key_the_command_does_not_read_is_config_error(self, tmp_path, capsys):
+        # the manifest echoes the whole config, and JSON has no NaN
+        out = tmp_path / "alt"
+        cfg = self._config("perturb", Path(), out) | {"alpha": float("nan")}
+        assert main(["perturb", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert "'alpha' must be a finite number" in capsys.readouterr().err
+        assert_nothing_written(out)
+
+    # finite inputs whose sums or products overflow float64: each command
+    # used to exit 0 with NaN or Infinity in its JSON, or inf/nan in its table
+
+    def test_vre_total_that_overflows_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "vre"
+        cfg = self._config("vre", Path(), out) | {"weights": {"solar": 1e305, "wind": 2}}
+        assert main(["vre", write_config(tmp_path, cfg)]) == EXIT_VALIDATION
+        assert "overflow" in capsys.readouterr().err
+        assert_nothing_written(out)
+
+    @staticmethod
+    def _huge_series(tmp_path, values) -> str:
+        path = tmp_path / "huge.csv"
+        write_csv(HourlySeries(np.asarray(values, dtype=float)), path)
+        return str(path)
+
+    @pytest.mark.parametrize("values, statistic", [
+        (np.tile([1e308, 1.5e308], 48), "underage_count"),
+        (np.repeat(np.tile([7e306, -7e306], 2), 24), "underage"),
+    ])
+    def test_analysis_that_overflows_is_validation_error(self, tmp_path, capsys, values, statistic):
+        source = self._huge_series(tmp_path, values)
+        ens = self._generate(tmp_path, source=source, params={"sash": 2, "p": 3}, B=3)
+        out = tmp_path / "analysis"
+        cfg = {"ensemble_dir": str(ens), "original": source, "statistic": statistic, "output_dir": str(out)}
+        assert main(["analyze", write_config(tmp_path, cfg)]) == EXIT_VALIDATION
+        assert "overflow" in capsys.readouterr().err
+        assert_nothing_written(out)
+
+    def test_audit_that_overflows_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "alt"
+        cfg = {"method": "incremental", "input": self._huge_series(tmp_path, np.tile([1e308, 1.5e308], 48)),
+               "seed": 3, "distribution": {"kind": "normal", "mean": 0, "std": 1}, "output_dir": str(out)}
+        assert main(["perturb", write_config(tmp_path, cfg)]) == EXIT_VALIDATION
+        assert "overflow" in capsys.readouterr().err
+        assert_nothing_written(out)
+
 
 odd_values = st.one_of(
     st.integers(min_value=-2, max_value=6),
@@ -705,7 +787,18 @@ odd_values = st.one_of(
     st.sampled_from([float("nan"), float("inf"), None, True, "two", "", [], [3], {}]),
     # sizes numpy refuses before it allocates anything, and an int no float can hold
     st.sampled_from([10**20, 10**400, [10**400]]),
+    # finite numbers whose products or sums overflow a float
+    st.sampled_from([1e305, 1.7e308]),
 )
+
+
+def assert_json_is_finite(out: Path) -> None:
+    """Every JSON file under ``out`` parses without NaN or Infinity, which JSON has no number for."""
+    def refuse(name: str) -> None:
+        raise AssertionError(f"a JSON output holds {name}")
+
+    for path in out.rglob("*.json"):
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
 
 
 DOCUMENTED_EXITS = (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_VALIDATION)
@@ -720,7 +813,10 @@ def test_fuzzed_generate_config_exits_with_a_documented_code(tmp_path_factory, m
     names = ("sash", "p") if method == "sbb" else ("lag", "k")
     cfg = write_config(tmp_path, {"input": SOLAR, "method": method, "params": dict(zip(names, (a, b))),
                                   "B": B, "seed": seed, "output_dir": str(tmp_path / "ens")})
-    assert main(["generate", cfg]) in DOCUMENTED_EXITS
+    code = main(["generate", cfg])
+    assert code in DOCUMENTED_EXITS
+    if code == EXIT_OK:
+        assert_json_is_finite(tmp_path / "ens")
 
 
 def test_analyze_config_error_leaves_no_outputs(tmp_path, small_ensembles):
@@ -794,6 +890,8 @@ PERTURB_CONFIGS = {
 ]))
 @example(method="incremental", odd={"distribution.below_probability": 5e-324})
 @example(method="incremental", odd={"distribution.below_probability": 1e-315})
+@example(method="incremental", odd={"clamp.alpha_max": 1e305})  # clamp bounds overflow
+@example(method="altered_difference", odd={"alpha": 1.7e308})  # the scaled gap overflows
 @settings(max_examples=60, deadline=None)
 def test_fuzzed_perturb_config_exits_with_a_documented_code(tmp_path_factory, method, odd):
     tmp_path = tmp_path_factory.mktemp("fuzz")
@@ -802,7 +900,9 @@ def test_fuzzed_perturb_config_exits_with_a_documented_code(tmp_path_factory, me
            "output_dir": str(out)}
     code = main(["perturb", write_config(tmp_path, with_settings(cfg, odd))])
     assert code in DOCUMENTED_EXITS
-    if code != EXIT_OK:
+    if code == EXIT_OK:
+        assert_json_is_finite(out)
+    else:
         assert_nothing_written(out)
 
 
@@ -819,7 +919,9 @@ def test_fuzzed_analyze_config_exits_with_a_documented_code(tmp_path_factory, sm
            "output_dir": str(out)}
     code = main(["analyze", write_config(tmp_path, with_settings(cfg, odd))])
     assert code in DOCUMENTED_EXITS
-    if code != EXIT_OK:
+    if code == EXIT_OK:
+        assert_json_is_finite(out)
+    else:
         assert_nothing_written(out)
 
 
@@ -829,6 +931,7 @@ def test_fuzzed_analyze_config_exits_with_a_documented_code(tmp_path_factory, sm
     "ensembles.pairs",
 ]))
 @example(actions={"sweep"}, odd={"sweep.solar_weights": [10**400]})
+@example(actions={"weights"}, odd={"weights.solar": 1.7e308})  # weighted VRE hours overflow
 @settings(max_examples=60, deadline=None)
 def test_fuzzed_vre_config_exits_with_a_documented_code(tmp_path_factory, small_ensembles, actions, odd):
     tmp_path = tmp_path_factory.mktemp("fuzz")
@@ -843,5 +946,7 @@ def test_fuzzed_vre_config_exits_with_a_documented_code(tmp_path_factory, small_
            **{key: sections[key] for key in actions}, "output_dir": str(out)}
     code = main(["vre", write_config(tmp_path, with_settings(cfg, odd))])
     assert code in DOCUMENTED_EXITS
-    if code != EXIT_OK:
+    if code == EXIT_OK:
+        assert_json_is_finite(out)
+    else:
         assert_nothing_written(out)

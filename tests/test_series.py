@@ -21,7 +21,7 @@ from synthseries.errors import (
     ValidationError,
 )
 from synthseries.kernels import uniform_kernel
-from synthseries.series import HourlySeries, chunk_sums, load_csv, write_csv
+from synthseries.series import HourlySeries, chunk_sums, load_csv, write_csv, write_json
 from synthseries.stats import ExceedanceReport
 
 from . import oracles
@@ -40,6 +40,14 @@ def test_rejects_empty_and_nonfinite():
         HourlySeries(np.array([1.0, np.nan]))
     with pytest.raises(ValidationError):
         HourlySeries(np.array([np.inf]))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_json_with_a_non_finite_number_is_refused_before_writing(tmp_path, value):
+    # json.dumps would write NaN or Infinity, which JSON parsers refuse
+    with pytest.raises(ValueError):
+        write_json({"mean": value}, tmp_path / "out" / "x.json")
+    assert not (tmp_path / "out").exists()
 
 
 def test_values_immutable():

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from synthseries.adequacy import VreWeights, ensemble_adequacy
 from synthseries.ensemble import _RUN_VALUES, Ensemble, run_batch
-from synthseries.errors import ConfigError, LengthMismatch, SeriesTooShort
+from synthseries.errors import ConfigError, LengthMismatch, SeriesTooShort, ValidationError
 from synthseries.sbb import generate_sbb_batch
 from synthseries.series import HourlySeries
 from synthseries.stats import (
     _STATISTICS,
+    ExceedanceReport,
     Threshold,
     _exceedance,
     _row_stats,
@@ -62,6 +63,16 @@ class TestSummarize:
         with pytest.raises(ConfigError):
             summarize(HourlySeries(np.arange(10.0)), autocorr_lag=lag)
 
+    @pytest.mark.parametrize("values", [
+        np.tile([1e308, 1.5e308], 48),  # the sum for the mean
+        np.tile([1e305, -1e305], 48),  # the sum of squares
+    ])
+    def test_statistic_that_overflows_is_validation_error(self, values):
+        # every value is finite; the mean or std used to be written as inf and
+        # the autocorrelation as nan
+        with pytest.raises(ValidationError, match="overflow"):
+            summarize(HourlySeries(values))
+
 
 class TestThreshold:
     def test_validation(self):
@@ -105,6 +116,20 @@ class TestExceedance:
         thr = Threshold(kind="absolute", e=1.0)
         with pytest.raises(LengthMismatch):
             underage(HourlySeries(np.ones(4)), HourlySeries(np.ones(5)), 2, thr)
+
+    @pytest.mark.parametrize("fn", [underage, overage])
+    @pytest.mark.parametrize("orig, synth", [
+        (np.repeat([7e306, -7e306], 24), np.repeat([-7e306, 7e306], 24)),  # a gap (2 * 1.68e308)
+        (np.full(48, 1e307), np.full(48, 1e307)),  # a chunk total (24 * 1e307)
+    ])
+    def test_total_that_overflows_is_validation_error(self, fn, orig, synth):
+        with pytest.raises(ValidationError, match="overflow"):
+            fn(HourlySeries(orig), HourlySeries(synth), 24, Threshold(kind="absolute", e=0.0))
+
+    def test_spread_that_overflows_is_validation_error(self):
+        values = np.array([1.7e308, 1.7e308])
+        with pytest.raises(ValidationError, match="overflow"):
+            ExceedanceReport("underage", values, np.full(2, 0.5)).describe()
 
     def test_full_length_chunk(self, rng):
         s = HourlySeries(np.abs(rng.normal(10, 3, size=48)))
@@ -217,7 +242,8 @@ def loop_summary(vals: np.ndarray, lag: int) -> list[float]:
     q1, med, q3 = np.percentile(vals, [25, 50, 75])
     mean, std = float(vals.mean()), float(vals.std(ddof=1))
     x = vals - vals.mean()
-    acf = float(x[:-lag] @ x[lag:]) / float(x @ x) if float(x @ x) else 0.0
+    ss = float(np.multiply(x, x).sum())
+    acf = float(np.multiply(x[:-lag], x[lag:]).sum()) / ss if ss else 0.0
     return [float(vals.min()), float(q1), float(med), float(q3), float(vals.max()),
             mean, std, std / mean if mean != 0 else 0.0, acf]
 
