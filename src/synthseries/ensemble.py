@@ -1,4 +1,10 @@
-"""Ensembles of synthetic series with full reproducibility provenance."""
+"""Ensembles of synthetic series with full reproducibility provenance.
+
+The member codec lives here alone. A member is saved as the bytes
+``csv.writer`` writes for one bare ``value`` column (``_bare_body``) and read
+back by one pass over that format (``_bare_cells``); a member that pass
+refuses is read by ``series.load_csv``, which reports what is wrong with it.
+"""
 
 from __future__ import annotations
 
@@ -15,9 +21,13 @@ import numpy as np
 
 from .errors import ChecksumMismatch, ConfigError, IOErrorSS, LengthMismatch, MalformedManifest, ValidationError
 from .neighbors import index_dtype
-from .series import HourlySeries, _bare_body, _bare_cells, _cell_text, _distinct, _read_text, load_csv, write_json
+from .series import HourlySeries, _read_text, load_csv, write_json
 
 MANIFEST_NAME = "manifest.json"
+
+# characters that give a line CSV structure (a delimiter, a quote, a NUL);
+# a member without any of them is one bare column, one cell per line
+_CSV_SYNTAX = (",", '"', "\0")
 
 # members are decoded, formatted and read by the statistics in runs of about
 # this many values, so that temporaries stay at a few MB: the values of a
@@ -48,7 +58,7 @@ class Ensemble:
 
     The members are held as a (table, codes) pair: member b is
     ``table[codes[b]]``. The constructor codes the (B, n) matrix it is given
-    (see ``series._distinct``), copying it; ``decode``, as a batch or a load
+    (see ``_distinct``), copying it; ``decode``, as a batch or a load
     calls it, takes a pair as it is. ``values`` is the read-only (B, n)
     float64 matrix, decoded on first use; ``save`` writes from the pair and
     the statistics read it through ``blocks``, so neither holds the values
@@ -230,6 +240,47 @@ class Ensemble:
             master_seed=manifest["master_seed"],
             source_checksum=manifest["source_checksum"],
         )
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a float64 array as a table, and each value's
+    place in it as an intp array of ``values``' shape.
+
+    The values are told apart by their bit patterns (``np.unique`` over
+    them), so -0.0 and 0.0 take two entries.
+    """
+    bits, codes = np.unique(values.view(np.uint64).ravel(), return_inverse=True)
+    return bits.view(np.float64), codes.reshape(values.shape)
+
+
+def _cell_text(table: np.ndarray) -> np.ndarray:
+    """``repr(float(v))`` of every entry of ``table``, as an object array."""
+    return np.array([repr(v) for v in table.tolist()], dtype=object)
+
+
+def _bare_body(cells: list[str]) -> bytes:
+    """A member file as ``csv.writer`` writes it: a ``value`` header, then
+    one CRLF-terminated row per cell."""
+    return "\r\n".join(["value", *cells, ""]).encode("utf-8")
+
+
+def _bare_cells(text: str) -> list[str] | None:
+    """The cells of a member that is one bare column under a ``value``
+    header, with at least one row; None for any other text.
+
+    A bare column has no delimiter, quote or NUL anywhere. It is split into
+    lines at CR, LF or CRLF, as ``csv.reader`` splits it.
+    """
+    if any(c in text for c in _CSV_SYNTAX):
+        return None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":  # the final line break ends a row, it does not start one
+        lines.pop()
+    # an empty first line is no header for csv.reader, not an empty name
+    if len(lines) < 2 or not lines[0] or lines[0].strip() != "value":
+        return None
+    del lines[0]
+    return lines
 
 
 def _parse_unseen(cells: list[str], code_of: dict[str, int]) -> tuple[list[str], np.ndarray] | None:

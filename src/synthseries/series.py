@@ -1,6 +1,10 @@
 """Hourly series data model: circular indexing, block sums, CSV in/out, JSON out.
 
-Series are immutable after construction and safe to share across threads.
+One series is read from CSV by ``load_csv`` through ``csv.reader`` and
+written by ``write_csv`` through ``csv.writer`` (``write_rows``), the only
+reader and writer of that kind of file; ensemble members have their own
+codec in ``ensemble.py``. Series are immutable after construction and safe
+to share across threads.
 Indexing is 0-based internally; the time series is treated as circular,
 so the predecessor of the first hour is the last hour.
 """
@@ -21,6 +25,7 @@ import numpy as np
 from .errors import (
     EmptyFile,
     InvalidChunkLength,
+    LengthMismatch,
     MissingColumn,
     UndecodableFile,
     UnparseableValue,
@@ -46,6 +51,11 @@ class HourlySeries:
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+        if self.timestamps is not None:
+            stamps = tuple(self.timestamps)
+            if len(stamps) != vals.size:
+                raise LengthMismatch(f"{len(stamps)} timestamps for {vals.size} values")
+            object.__setattr__(self, "timestamps", stamps)
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -79,51 +89,39 @@ def chunk_sums(values: np.ndarray, length: int) -> np.ndarray:
     return np.concatenate([sums, ragged[..., None]], axis=-1)
 
 
-# characters that give a line CSV structure (a delimiter, a quote, a NUL);
-# a file without any of them is one bare column, one cell per line
-_CSV_SYNTAX = (",", '"', "\0")
-
-
 def load_csv(
     path: str | Path,
     value_column: str = "value",
     timestamp_column: str | None = None,
     label: str = "",
 ) -> HourlySeries:
-    """Read one series from a UTF-8 CSV with a header row.
+    """Read one series from a UTF-8 CSV with a header row, through ``csv.reader``.
 
     Rows are assumed chronological. Blank or non-numeric value cells raise
     :class:`UnparseableValue` with the offending 1-based data row number; a
-    file that is not UTF-8 raises :class:`UndecodableFile`.
-
-    The file is read once. A bare value column is converted in one pass
-    (see ``_bare_column``); anything else, and any bare column that pass
-    refuses, goes through ``csv.reader``, which reports the offending row.
+    file that is not UTF-8 raises :class:`UndecodableFile`. A row too short
+    to reach a column reads a blank cell there.
     """
     path = Path(path)
-    text = _read_text(path)
-    values = _bare_column(text, value_column) if timestamp_column is None else None
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise EmptyFile(str(path))
+    header = [h.strip() for h in header]
+    vcol = _column(path, header, value_column)
+    tcol = _column(path, header, timestamp_column) if timestamp_column is not None else None
+    values: list[float] = []
     stamps: list[str] = []
-    if values is None:
-        reader = csv.reader(io.StringIO(text, newline=""))
-        header = next(reader, None)
-        if header is None:
-            raise EmptyFile(str(path))
-        header = [h.strip() for h in header]
-        vcol = _column(path, header, value_column)
-        tcol = _column(path, header, timestamp_column) if timestamp_column is not None else None
-        parsed: list[float] = []
-        # csv.reader keeps blank lines as empty rows, so row numbering stays
-        # aligned with the file and a blank cell is reported where it occurs.
-        for rownum, row in enumerate(reader, start=1):
-            parsed.append(_parse_value(rownum, row[vcol] if vcol < len(row) else ""))
-            if tcol is not None:
-                stamps.append(row[tcol])
-        values = np.array(parsed)
-    if not values.size:
+    # csv.reader keeps blank lines as empty rows, so row numbering stays
+    # aligned with the file and a blank cell is reported where it occurs.
+    for rownum, row in enumerate(reader, start=1):
+        values.append(_parse_value(rownum, row[vcol] if vcol < len(row) else ""))
+        if tcol is not None:
+            stamps.append(row[tcol] if tcol < len(row) else "")
+    if not values:
         raise EmptyFile(str(path))
     return HourlySeries(
-        values,
+        np.array(values),
         label=label or path.stem,
         start_timestamp=stamps[0] if stamps else None,
         timestamps=tuple(stamps) if stamps else None,
@@ -137,39 +135,6 @@ def _read_text(path: str | Path) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise UndecodableFile(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-
-
-def _bare_cells(text: str, value_column: str = "value") -> list[str] | None:
-    """The cells of a file that is one bare column under a ``value_column``
-    header, with at least one row; None for any other text.
-
-    A bare column has no delimiter, quote or NUL anywhere. It is split into
-    lines at CR, LF or CRLF, as ``csv.reader`` splits it.
-    """
-    if any(c in text for c in _CSV_SYNTAX):
-        return None
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if lines[-1] == "":  # the final line break ends a row, it does not start one
-        lines.pop()
-    # an empty first line is no header for csv.reader, not an empty name
-    if len(lines) < 2 or not lines[0] or lines[0].strip() != value_column:
-        return None
-    del lines[0]
-    return lines
-
-
-def _bare_column(text: str, value_column: str = "value") -> np.ndarray | None:
-    """The values of a bare column (see ``_bare_cells``) whose every cell is a
-    finite float, converted with one ``float`` map; None for any other text,
-    which ``csv.reader`` then reads and reports on."""
-    cells = _bare_cells(text, value_column)
-    if cells is None:
-        return None
-    try:
-        values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
-    except ValueError:
-        return None
-    return values if np.isfinite(values).all() else None
 
 
 def _column(path: Path, header: list[str], name: str) -> int:
@@ -192,18 +157,13 @@ def _parse_value(rownum: int, cell: str) -> float:
 
 
 def write_csv(series: HourlySeries, path: str | Path) -> None:
-    """Write ``timestamp,value`` (or bare ``value``) at full float precision:
-    the bytes ``csv.writer`` writes with ``repr(float(v))`` cells and CRLF
-    rows. A bare column is built as one string and written in one call.
-    """
-    cells = _format_cells(series.values).tolist()
-    if series.timestamps is not None:
-        # timestamps are free text that may need quoting
+    """Write ``timestamp,value`` (or bare ``value``) rows with ``write_rows``,
+    each value as ``repr(float(v))``, so at full float precision."""
+    cells = map(repr, series.values.tolist())
+    if series.timestamps is None:
+        write_rows(path, [("value",), *zip(cells)])
+    else:
         write_rows(path, [("timestamp", "value"), *zip(series.timestamps, cells)])
-        return
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(_bare_body(cells))
 
 
 def write_rows(path: str | Path, rows: Iterable[Sequence[Any]]) -> None:
@@ -222,32 +182,3 @@ def write_json(obj: Any, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
-
-
-def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of a float64 array as a table, and each value's
-    place in it as an intp array of ``values``' shape.
-
-    The values are told apart by their bit patterns (``np.unique`` over
-    them), so -0.0 and 0.0 take two entries.
-    """
-    bits, codes = np.unique(values.view(np.uint64).ravel(), return_inverse=True)
-    return bits.view(np.float64), codes.reshape(values.shape)
-
-
-def _format_cells(values: np.ndarray) -> np.ndarray:
-    """``repr(float(v))`` of every value, as an object array of ``values``'
-    shape; each distinct value (see ``_distinct``) is formatted once."""
-    table, codes = _distinct(values)
-    return _cell_text(table)[codes]
-
-
-def _cell_text(table: np.ndarray) -> np.ndarray:
-    """``repr(float(v))`` of every entry of ``table``, as an object array."""
-    return np.array([repr(v) for v in table.tolist()], dtype=object)
-
-
-def _bare_body(cells: list[str]) -> bytes:
-    """A bare value column as ``csv.writer`` writes it: a ``value`` header,
-    then one CRLF-terminated row per cell."""
-    return "\r\n".join(["value", *cells, ""]).encode("utf-8")

@@ -6,9 +6,10 @@ references are kept so that floats can be compared byte for byte:
 ``stable_sort_pools``, the full-sort neighbour search, and
 ``padded_chunk_sums`` / ``series_exceedance``, the per-series block sums
 through a wrap-padded copy and the exceedance taken from them.
-``csv_writer_text`` and ``csv_reader_load`` are the row-by-row CSV codec the
-bulk one replaced; the reader raises the package's ingestion errors, which
-are part of the contract.
+``csv_writer_text`` and ``csv_reader_load`` write and read a series file row
+by row through the ``csv`` module, for ``series.write_csv`` and
+``series.load_csv`` and for the ensemble's member codec to match; the reader
+raises the package's ingestion errors, which are part of the contract.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ def csv_reader_load(path, value_column="value", timestamp_column=None, label="")
                 raise UnparseableValue(rownum, raw)
             values.append(v)
             if tcol is not None:
-                stamps.append(row[tcol])
+                stamps.append(row[tcol] if tcol < len(row) else "")
     if not values:
         raise EmptyFile(str(path))
     return values, label or path.stem, tuple(stamps) if stamps else None

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -13,6 +15,7 @@ from synthseries.ensemble import Ensemble
 from synthseries.errors import (
     EmptyFile,
     InvalidChunkLength,
+    LengthMismatch,
     MissingColumn,
     IOErrorSS,
     SynthSeriesError,
@@ -54,6 +57,16 @@ def test_values_immutable():
     s = HourlySeries(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         s.values[0] = 9.0
+
+
+def test_timestamps_are_one_per_value_and_held_as_a_tuple(tmp_path):
+    # write_csv pairs values with timestamps, so a short tuple would drop values
+    with pytest.raises(LengthMismatch):
+        HourlySeries([1.0, 2.0, 3.0], timestamps=("t0", "t1"))
+    stamps = ["t0", "t1"]
+    s = HourlySeries([1.0, 2.0], timestamps=stamps)
+    stamps[0] = "edited"
+    assert s.timestamps == ("t0", "t1")
 
 
 class TestChunk:
@@ -202,7 +215,8 @@ def _load_outcome(load, path, **kwargs):
 
 
 class TestCsvCodec:
-    """The bulk codec against the row-by-row one it replaced (tests/oracles.py)."""
+    """``load_csv`` and ``write_csv`` against the row-by-row references in
+    tests/oracles.py, byte for byte and error for error."""
 
     @pytest.mark.parametrize("values", [EDGE_VALUES, EDGE_VALUES[::-1], [-0.0] * 3 + [0.0] * 3, [7.0]])
     def test_writer_bytes_match_csv_writer(self, tmp_path, values):
@@ -251,6 +265,7 @@ class TestCsvCodec:
         ("\nvalue\n1.5\n", {}),
         ("values\n1.5\n", {}),
         ("value\n1.5\n", {"timestamp_column": "timestamp"}),
+        ("value,timestamp\r\n1.0,t0\r\n2.0\r\n", {"timestamp_column": "timestamp"}),
         ("value\n1.5\x00\n", {}),
     ])
     def test_loader_matches_csv_reader(self, tmp_path, text, kwargs):
@@ -270,6 +285,45 @@ class TestCsvCodec:
             p = Path(d) / "s.csv"
             p.write_bytes((newline.join([header, *cells]) + (newline if final else "")).encode())
             assert _load_outcome(load_csv, p) == _load_outcome(oracles.csv_reader_load, p)
+
+
+def _error(exc: SynthSeriesError):
+    return type(exc), getattr(exc, "row", None), str(exc)
+
+
+class TestBareMemberPass:
+    """``Ensemble.load``'s pass over bare member files, on the bodies
+    ``test_loader_matches_csv_reader_fuzzed`` writes, each saved as the only
+    member of an ensemble: the member, or the error class, row and message,
+    is that of the csv.reader reference."""
+
+    @given(cells=st.lists(st.sampled_from(
+               ["1.5", " 2 ", "-0.0", "5e-324", "1e16", "", "  ", "nan", "inf", "x", '"3"', "4,5", "value"]),
+               max_size=8),
+           header=st.sampled_from(["value", " value", "x", ""]),
+           newline=st.sampled_from(["\n", "\r\n", "\r"]),
+           final=st.booleans())
+    @settings(max_examples=120)
+    def test_member_matches_csv_reader_fuzzed(self, cells, header, newline, final):
+        with tempfile.TemporaryDirectory() as d:
+            directory = Path(d)
+            Ensemble([[1.0]], "sbb", {}, 0, "x").save(directory)
+            member = directory / "series_0000.csv"
+            member.write_bytes((newline.join([header, *cells]) + (newline if final else "")).encode())
+            try:
+                expected = np.array(oracles.csv_reader_load(member)[0], dtype=float).tobytes()
+            except SynthSeriesError as exc:
+                expected = _error(exc)
+            else:
+                manifest = directory / "manifest.json"
+                fields = json.loads(manifest.read_text())
+                fields["series_checksums"] = [hashlib.sha256(expected).hexdigest()]
+                manifest.write_text(json.dumps(fields))
+            try:
+                got = Ensemble.load(directory).values[0].tobytes()
+            except SynthSeriesError as exc:
+                got = _error(exc)
+            assert got == expected
 
 
 @pytest.mark.parametrize("make", [
