@@ -185,6 +185,7 @@ def windowed_adequacy(
 ) -> AdequacyResult:
     """Supplied/curtailed over a sub-window only (e.g. a seasonal 5-day slice)."""
     v, nuc, ld = seasonal_window([vre, nuclear, load], start_hour, duration_hours)
+    _check_fraction(shortfall_fraction)
     if duration_hours % 24:
         # shortfall days are defined on whole days; ragged windows, which
         # may be shorter than one, only report the supplied/curtailed fractions

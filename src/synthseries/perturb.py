@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Any
 
 import numpy as np
@@ -37,6 +38,8 @@ class OffsetDistribution:
     below_probability: float | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.mean) and math.isfinite(self.std)):
+            raise InvalidDistributionParams(f"mean and std must be finite, got mean={self.mean}, std={self.std}")
         if self.kind == "normal":
             if self.std <= 0:
                 raise InvalidDistributionParams(f"normal std must be > 0, got {self.std}")
@@ -71,6 +74,10 @@ class ClampPolicy:
     alpha_min: float = -1.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha_max) and math.isfinite(self.alpha_min)):
+            raise InvalidDistributionParams(
+                f"alpha_max and alpha_min must be finite, got ({self.alpha_max}, {self.alpha_min})"
+            )
         if not self.alpha_max > self.alpha_min:
             raise InvalidDistributionParams(
                 f"alpha_max ({self.alpha_max}) must exceed alpha_min ({self.alpha_min})"
@@ -86,60 +93,13 @@ class AlteredSeries:
     source_checksums: tuple[str, ...] = ()
 
 
-# --- standard-normal inverse CDF ----------------------------------------
-#
-# Rational approximation (Acklam 2003) polished with one Halley step on
-# the complementary error function; absolute error well under 1e-8.
-# Kept self-contained so the quantile path can be cross-checked against a
-# bisection oracle on the CDF in the test suite.
-
-_PPF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_PPF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_PPF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_PPF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-
-
-def _norm_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def _norm_ppf(p: float) -> float:
-    if not 0.0 < p < 1.0:
-        raise InvalidProbability(f"probability {p} not in (0, 1)")
-    p_low, p_high = 0.02425, 1 - 0.02425
-    a, b, c, d = _PPF_A, _PPF_B, _PPF_C, _PPF_D
-    if p < p_low:
-        q = math.sqrt(-2 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
-    elif p <= p_high:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1)
-    else:
-        q = math.sqrt(-2 * math.log(1 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
-    # Halley refinement; below p of about 1e-310, exp(x * x / 2) overflows, and
-    # p, a subnormal, holds too few bits for the step to improve on x
-    e = _norm_cdf(x) - p
-    try:
-        u = e * math.sqrt(2 * math.pi) * math.exp(x * x / 2.0)
-    except OverflowError:
-        return x
-    return x - u / (1 + x * u / 2)
-
-
 def normal_below_probability(std: float, pi: float) -> float:
     """Mean shift std * z_pi so offsets are positive with probability pi."""
     if std <= 0:
         raise InvalidDistributionParams(f"std must be > 0, got {std}")
-    return std * _norm_ppf(pi)
+    if not 0.0 < pi < 1.0:
+        raise InvalidProbability(f"probability {pi} not in (0, 1)")
+    return std * NormalDist().inv_cdf(pi)
 
 
 # --- incremental selection ----------------------------------------------

@@ -39,7 +39,6 @@ class HourlySeries:
 
     values: np.ndarray
     label: str = ""
-    start_timestamp: str | None = None
     timestamps: tuple[str, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -123,7 +122,6 @@ def load_csv(
     return HourlySeries(
         np.array(values),
         label=label or path.stem,
-        start_timestamp=stamps[0] if stamps else None,
         timestamps=tuple(stamps) if stamps else None,
     )
 

@@ -90,6 +90,10 @@ class TestAdequacy:
         s = HourlySeries(np.ones(48))
         with pytest.raises(OutOfRange, match="finite"):
             adequacy(s, s, s, shortfall_fraction=fraction)
+        # a part-day window (30 hours) reports no shortfall days, but is checked all the same
+        for hours in (48, 30):
+            with pytest.raises(OutOfRange, match="finite"):
+                windowed_adequacy(s, s, s, 0, hours, shortfall_fraction=fraction)
 
     @pytest.mark.parametrize("hours", [48, 30])
     def test_generation_that_overflows_is_validation_error(self, hours):

@@ -167,7 +167,7 @@ class TestPerturb:
 
     @pytest.mark.parametrize("below", [5e-324, 1e-315])
     def test_subnormal_below_probability(self, tmp_path, below):
-        # the quantile's refinement step overflows at such p, so it must be skipped, not raised
+        # the smallest probabilities the config can hold still give a finite quantile and an altered series
         out = tmp_path / "alt"
         cfg = write_config(tmp_path, {
             "input": WIND, "method": "incremental", "seed": 3,

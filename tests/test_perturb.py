@@ -9,7 +9,6 @@ from synthseries.errors import InvalidDistributionParams, InvalidProbability, Le
 from synthseries.perturb import (
     ClampPolicy,
     OffsetDistribution,
-    _norm_ppf,
     altered_difference,
     direction_audit,
     incremental_select,
@@ -36,6 +35,21 @@ class TestOffsetDistribution:
         assert d.effective_mean() == pytest.approx(2.674, abs=1e-3)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("build", [
+    lambda v: OffsetDistribution("normal", mean=v),
+    lambda v: OffsetDistribution("normal", std=v),
+    lambda v: OffsetDistribution("exponential", mean=v),
+    lambda v: ClampPolicy(alpha_max=v),
+    lambda v: ClampPolicy(alpha_min=v),
+], ids=["normal_mean", "normal_std", "exponential_mean", "alpha_max", "alpha_min"])
+def test_non_finite_parameter_is_invalid(build, value):
+    # unchecked, a NaN gives a NaN series, an infinity a series pinned to its
+    # clamp bounds, and alpha_max = inf alters zero-valued hours (inf * 0 is NaN)
+    with pytest.raises(InvalidDistributionParams, match="finite"):
+        build(value)
+
+
 class TestNormalBelowProbability:
     def test_median_is_zero(self):
         assert normal_below_probability(1.0, 0.5) == pytest.approx(0.0, abs=1e-12)
@@ -55,15 +69,24 @@ class TestNormalBelowProbability:
     @given(st.floats(min_value=1e-6, max_value=1 - 1e-6))
     @settings(max_examples=80)
     def test_quantile_matches_bisection_oracle(self, p):
-        assert abs(_norm_ppf(p) - bisect_norm_ppf(p)) < 1e-8
+        assert abs(normal_below_probability(1.0, p) - bisect_norm_ppf(p)) < 1e-10
 
     # quantiles of the doubles 1e-315 and 5e-324 (the smallest subnormal),
-    # found in log space at 60 digits with mpmath; the Halley step's
-    # exp(x * x / 2) overflows there, and the rational tail alone is this close
+    # found in log space at 60 digits with mpmath
     @pytest.mark.parametrize("p, quantile", [(1e-315, -37.967300351067358), (5e-324, -38.467405617144346)])
     def test_subnormal_probability_has_a_finite_quantile(self, p, quantile):
-        assert abs(_norm_ppf(p) - quantile) < 1e-6
-        assert normal_below_probability(2.0, p) == 2.0 * _norm_ppf(p)
+        assert abs(normal_below_probability(1.0, p) - quantile) < 1e-13
+        assert normal_below_probability(2.0, p) == 2.0 * normal_below_probability(1.0, p)
+
+    # quantiles found at 60 digits with mpmath (findroot on ncdf); near p = 1
+    # a refinement step on cdf(x) - p cancels to a few bits and misses these
+    @pytest.mark.parametrize("p, quantile", [
+        (0.999999, 4.7534243088170877657),
+        (0.999999999, 5.9978070196016374264),
+        (0.999999999999, 7.0344869100478352057),
+    ])
+    def test_upper_tail_quantile_matches_mpmath(self, p, quantile):
+        assert abs(normal_below_probability(1.0, p) - quantile) < 1e-13
 
 
 class TestIncrementalSelect:

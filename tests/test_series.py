@@ -181,7 +181,7 @@ class TestCsv:
         p = tmp_path / "ts.csv"
         p.write_text("timestamp,value\n2021-01-01T00,5.5\n2021-01-01T01,6.5\n", encoding="utf-8")
         s = load_csv(p, timestamp_column="timestamp")
-        assert s.start_timestamp == "2021-01-01T00"
+        assert s.timestamps[0] == "2021-01-01T00"
         assert s.values.tolist() == [5.5, 6.5]
 
     @given(values=finite_values)
