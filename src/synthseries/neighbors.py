@@ -46,6 +46,9 @@ Most candidates cannot enter a pool, and row sums show which (Friedman,
 Baskett & Shustek 1975): for rows a, b of width w,
 |sum a - sum b| <= sqrt(w) |a - b|. The runs are searched in blocks of
 ``_BLOCK_ROWS`` in that order, so a block's own rows are one slice of it.
+The block's rows share a window and are measured against it in slices of
+rows whose distances fit in ``_BLOCK_VALUES`` values, so the distances that
+exist at one time grow with neither the block height nor, past one row, n.
 A block measures only a window, another slice: the rows whose sums lie
 within h of the block's, and at least 2 kk rows past its own on either
 side, where kk is the number of candidates selected and h is 1.05 times
@@ -81,10 +84,16 @@ from .errors import ConfigError, KTooLarge, PTooLarge
 from .kernels import ResamplingKernel
 from .series import HourlySeries
 
-# distinct rows per search block; a block's (rows, window) distances are a view
-# of one buffer sized for a (_BLOCK_ROWS, n) block, and its tie-closure masks
-# take a byte per distance, so this bounds peak memory
+# distinct rows per search block: the rows that share one window and one h
 _BLOCK_ROWS = 128
+# distances that exist at one time (1 MiB of float64): a block measures its
+# rows against its window in slices of as many rows as fit in this many values,
+# and at least one, so the buffer holds at least n; the tie closure's masks
+# are as large as one slice's distances. The working set then grows with
+# neither the block height nor, past one row, n: the wind search (sash 4,
+# p 100) traced 5.3 MB at n = 8760 and 12.2 MB at n = 26280, against 13.0 and
+# 38.1 MB with a buffer of _BLOCK_ROWS rows of n
+_BLOCK_VALUES = 1 << 17
 # query rows per distance pass: a pass subtracts, squares and adds one column
 # at a time into a tile of one scratch row per candidate, at least _TILE_ROWS
 # rows and at least _TILE_SIZE entries (on a wind block at n = 8760, tiles of
@@ -195,15 +204,25 @@ def _measure(
     m: np.ndarray, rows: np.ndarray, candidates: np.ndarray, kk: int, block: np.ndarray, scratch: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per row of ``rows``, its first ``kk`` matrix rows among ``candidates``
-    in the order (distance, index), and their distances."""
+    in the order (distance, index), and their distances, measured in slices
+    of as many rows as ``block`` holds distances to every candidate."""
     # the candidates in index order, so that ties still go to the lower index
     window = np.sort(candidates)
-    d = block[: rows.size * window.size].reshape(rows.size, window.size)
-    if m.shape[1]:
-        _window_euclidean(m[rows], np.ascontiguousarray(m[window].T), d, scratch)
-    else:
-        d.fill(0.0)
-    cols, vals = _select(d, kk)
+    # gathered row-wise and then transposed, so each column is contiguous (a
+    # gather from m.T would be strided)
+    columns = np.ascontiguousarray(m[window].T)
+    # block holds at least n values, so a slice holds at least one row
+    step = block.size // window.size
+    cols = np.empty((rows.size, kk), dtype=np.intp)
+    vals = np.empty((rows.size, kk))
+    for r in range(0, rows.size, step):
+        part = rows[r : r + step]
+        d = block[: part.size * window.size].reshape(part.size, window.size)
+        if m.shape[1]:
+            _window_euclidean(m[part], columns, d, scratch)
+        else:
+            d.fill(0.0)
+        cols[r : r + step], vals[r : r + step] = _select(d, kk)
     return window[cols], vals
 
 
@@ -253,7 +272,7 @@ def nearest_rows(
     indices = np.empty((n, k), dtype=index_dtype(n))
     radii = np.empty((n, 1))
     scratch = np.empty(max(_TILE_ROWS * n, _TILE_SIZE))
-    block = np.empty(min(_BLOCK_ROWS, reps.size) * n)
+    block = np.empty(min(max(_BLOCK_VALUES, n), min(_BLOCK_ROWS, reps.size) * n))
     slack_max = slack.max(initial=0.0)
     h = 0.0
     for start in range(0, reps.size, _BLOCK_ROWS):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from statistics import NormalDist
 from typing import Any
 
 import numpy as np
@@ -99,6 +98,10 @@ def normal_below_probability(std: float, pi: float) -> float:
         raise InvalidDistributionParams(f"std must be > 0, got {std}")
     if not 0.0 < pi < 1.0:
         raise InvalidProbability(f"probability {pi} not in (0, 1)")
+    # imported here: statistics loads fractions and decimal, which every
+    # other CLI command would pay for at start-up
+    from statistics import NormalDist
+
     return std * NormalDist().inv_cdf(pi)
 
 

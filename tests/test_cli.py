@@ -411,6 +411,15 @@ def test_cli_import_does_not_load_scipy(tmp_path):
     assert dir_bytes(tmp_path / "blocked") == dir_bytes(tmp_path / "in_process")
 
 
+def test_cli_import_does_not_load_statistics():
+    """Only a perturb with ``below_probability`` needs ``statistics.NormalDist``,
+    and ``statistics`` loads ``fractions`` and ``decimal``: no CLI process that
+    does not draw that quantile loads any of the three."""
+    code = "import sys, synthseries.cli; print(sorted({'statistics', 'fractions', 'decimal'} & sys.modules.keys()))"
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_package_namespace_loads_its_names_on_first_use():
     """``import synthseries`` loads no numpy, so the CLI can fix the BLAS thread
     count before numpy starts it; every public name is still its home module's

@@ -33,7 +33,7 @@ from synthseries.nnlb import build_lag_matrix, find_neighbor_pools
 from synthseries.sbb import build_windows, find_window_pools
 
 from .oracles import stable_sort_pools
-from .series_fixtures import solar_like, wind_like
+from .series_fixtures import pool_size, solar_like, wind_like
 
 YEAR = 8760
 
@@ -310,16 +310,95 @@ class TestWindows:
             assert_stable_sort_pools(m, k, include_self)
 
 
-# tracemalloc peak of this search on numpy 2.4.6: 12.97 MB, of which the
-# (128, n) block buffer takes 9.0 MB and the uint16 indices 1.75 MB; the bound
-# leaves about 3 MB above it. The search peaked at 19.9 MB while it also kept
-# the (n, k) float64 distances (7.0 MB), and at 28.2 MB with int64 indices and
-# a block-high argpartition.
-def test_year_search_peak_memory():
-    """Pool indices of 16 bits, a partition taken a few rows at a time and
-    no distance matrix (``Pools.distances`` is rebuilt only when read) keep
-    the year-length wind search near the size of its pool indices plus one
-    block."""
+class TestSlices:
+    """A block measures its rows against its window in slices of as many rows
+    as ``_BLOCK_VALUES`` holds distances to every window row, and at least
+    one. Against a window of all n rows, budgets of 1 (the buffer floors at
+    n), n, 2n - 1 and 5n + 3 values give slices of one, one, one and five
+    rows; narrower windows fit more. Every slice boundary is a place where a
+    result written for the wrong rows, or a row measured twice or not at
+    all, would show against the oracle."""
+
+    BUDGETS = {"1": lambda n: 1, "n": lambda n: n, "2n-1": lambda n: 2 * n - 1, "5n+3": lambda n: 5 * n + 3}
+
+    @staticmethod
+    def assert_sliced_pools(monkeypatch, m, k, include_self, budget) -> list[int]:
+        """Asserts the oracle's pools under a budget of ``budget`` values and
+        returns the number of rows in each slice, in the order selected."""
+        n = m.shape[0]
+        heights = []
+        select = neighbors._select
+
+        def spy(d, kk):
+            assert d.size <= max(budget, n)
+            heights.append(d.shape[0])
+            return select(d, kk)
+
+        monkeypatch.setattr(neighbors, "_BLOCK_VALUES", budget)
+        monkeypatch.setattr(neighbors, "_select", spy)
+        assert_stable_sort_pools(m, k, include_self)
+        return heights
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    @pytest.mark.parametrize("budget", sorted(BUDGETS))
+    def test_boundaries_between_runs_of_equal_rows_tied_at_the_kth_distance(self, monkeypatch, budget, include_self):
+        # ten distinct values, most repeated, in one block whose window holds
+        # all 16 rows: at 5n + 3 the slice boundary after the fifth distinct
+        # row in sum order falls between the runs of 4 and 5, and at every
+        # other budget each boundary between distinct rows is a slice boundary
+        copies = {0: 1, 1: 2, 2: 1, 3: 3, 4: 2, 5: 2, 6: 1, 7: 1, 8: 2, 9: 1}
+        values = np.repeat(np.array(list(copies), dtype=float), list(copies.values()))
+        m = values[np.random.default_rng(8).permutation(values.size)][:, None]
+        n, k = m.shape[0], 3
+        kk = k + 1 - include_self
+        # both runs have more than kk rows within their kk-th distance, 1
+        for v in (4.0, 5.0):
+            d = np.sort(np.abs(values - v))
+            assert d[kk - 1] == 1.0 and np.count_nonzero(d <= 1.0) > kk
+        heights = self.assert_sliced_pools(monkeypatch, m, k, include_self, self.BUDGETS[budget](n))
+        assert heights == ([5, 5] if budget == "5n+3" else [1] * 10)
+
+    @staticmethod
+    def family(name, include_self):
+        """A matrix with equal rows, one with exact ties at many distances,
+        or solar windows whose nights are one run of all-zero rows; and the
+        pool sizes to search it with (for solar, ties at the k-th distance)."""
+        if name == "equal_rows":
+            return with_duplicates(70, {0: 9, 1: 5, 7: 12, 40: 20}, seed=4), (1, 6, 25)
+        if name == "ties":
+            return np.random.default_rng(9).choice([0.0, 1.0, 2.0, 4.0], size=(90, 3)), (1, 6, 25)
+        m = build_windows(solar_like(240, 5), 2)
+        return m, [pool_size(case, m, include_self) for case in ("one", "inside_zero_group", "end_of_zero_group")]
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    @pytest.mark.parametrize("budget", sorted(BUDGETS))
+    @pytest.mark.parametrize("block", [4, 128])
+    @pytest.mark.parametrize("name", ["equal_rows", "ties", "solar"])
+    def test_slices_give_the_oracles_pools(self, monkeypatch, name, block, budget, include_self):
+        # in blocks of 4 the windows are narrower than n, and rows a window
+        # leaves uncertified are measured again in slices of a wider one
+        m, ks = self.family(name, include_self)
+        monkeypatch.setattr(neighbors, "_BLOCK_ROWS", block)
+        for k in ks:
+            heights = self.assert_sliced_pools(monkeypatch, m, k, include_self, self.BUDGETS[budget](m.shape[0]))
+            if block == 128:
+                # more slices than blocks: the blocks were measured in several
+                assert len(heights) > -(-np.unique(m, axis=0).shape[0] // block)
+
+
+# tracemalloc peak of this search on numpy 2.4.6: 5.32 MB in blocks of 128
+# rows and 7.21 MB in blocks of 512, of which the uint16 indices take 1.75 MB
+# and the distance buffer 1 MiB (_BLOCK_VALUES). A buffer sized for a
+# (_BLOCK_ROWS, n) block peaked at 12.96 MB (9.0 MB of it the buffer) and at
+# 42.8 MB in blocks of 512; so the budget, not the block height, bounds the
+# search, and the bound leaves under 1 MB above the 512-row peak.
+@pytest.mark.parametrize("block_rows", [128, 512])
+def test_year_search_peak_memory(monkeypatch, block_rows):
+    """Pool indices of 16 bits, distances measured a slice of rows at a time
+    under a fixed budget of values, and no distance matrix
+    (``Pools.distances`` is rebuilt only when read) keep the year-length wind
+    search near the size of its pool indices, at any block height."""
+    monkeypatch.setattr(neighbors, "_BLOCK_ROWS", block_rows)
     windows = build_windows(wind_like(YEAR, 2026), 4)
     tracemalloc.start()
     try:
@@ -327,7 +406,7 @@ def test_year_search_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16e6
+    assert peak < 8e6
 
 
 def equal_rows_pools(n: int, k: int, include_self: bool) -> np.ndarray:
