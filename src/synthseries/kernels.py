@@ -27,8 +27,9 @@ class ResamplingKernel:
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
-        if p.ndim != 1 or p.size < 1 or np.any(p < 0):
-            raise ConfigError("kernel probabilities must be a non-negative 1-D vector")
+        # NaN compares false with 0, so finiteness is checked too
+        if p.ndim != 1 or p.size < 1 or not np.all(np.isfinite(p) & (p >= 0)):
+            raise ConfigError("kernel probabilities must be a finite, non-negative 1-D vector")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ConfigError(f"kernel probabilities sum to {p.sum()!r}, not 1")
         p = p.copy()

@@ -47,12 +47,14 @@ Baskett & Shustek 1975): for rows a, b of width w,
 |sum a - sum b| <= sqrt(w) |a - b|. The runs are searched in blocks of
 ``_BLOCK_ROWS`` in that order, so a block's own rows are one slice of it.
 The block's rows share a window and are measured against it in slices of
-rows whose distances fit in ``_BLOCK_VALUES`` values, so the distances that
-exist at one time grow with neither the block height nor, past one row, n.
-A block measures only a window, another slice: the rows whose sums lie
-within h of the block's, and at least 2 kk rows past its own on either
-side, where kk is the number of candidates selected and h is 1.05 times
-the 90th percentile of the previous block's reaches. A row's reach is
+rows whose distances fit in ``_BLOCK_VALUES`` values, and at least one row.
+A slice is the unit of every pass below the block: its distances are summed
+column by column in one pass and selected in one ``argpartition``, so the
+values that exist at one time grow with neither the block height nor, past
+one row, n. A block measures only a window, another slice of the order: the
+rows whose sums lie within h of the block's, and at least 2 kk rows past its
+own on either side, where kk is the number of candidates selected and h is
+1.05 times the 90th percentile of the previous block's reaches. A row's reach is
 sqrt(w) times its kk-th distance in the window, widened by what rounding
 can do to the distances and to the sums (the relative error of a w-term
 sum, the absolute error of squares flushed to zero, and the error of each
@@ -86,27 +88,16 @@ from .series import HourlySeries
 
 # distinct rows per search block: the rows that share one window and one h
 _BLOCK_ROWS = 128
-# distances that exist at one time (1 MiB of float64): a block measures its
-# rows against its window in slices of as many rows as fit in this many values,
-# and at least one, so the buffer holds at least n; the tie closure's masks
-# are as large as one slice's distances. The working set then grows with
-# neither the block height nor, past one row, n: the wind search (sash 4,
-# p 100) traced 5.3 MB at n = 8760 and 12.2 MB at n = 26280, against 13.0 and
-# 38.1 MB with a buffer of _BLOCK_ROWS rows of n
-_BLOCK_VALUES = 1 << 17
-# query rows per distance pass: a pass subtracts, squares and adds one column
-# at a time into a tile of one scratch row per candidate, at least _TILE_ROWS
-# rows and at least _TILE_SIZE entries (on a wind block at n = 8760, tiles of
-# 4 to 32 rows took within 13% of 8; at n = 720, where the windows are
-# narrower, the wind search took 29.4 ms in 8-row tiles, 23.1 ms in tiles of
-# 16384 entries and 23.9 to 24.7 ms in tiles of 8192 to 70080)
-_TILE_ROWS = 8
-_TILE_SIZE = 16384
-# block rows per argpartition call in _select: its intp result is as wide as
-# the window, up to 3.7 MB per block on the year wind search when taken
-# block-high (slices of 8, 16 and 32 rows took within 3% of one another on the
-# three year searches of the case study)
-_PARTITION_ROWS = 16
+# distances that exist at one time: a block measures its rows against its
+# window in slices of as many rows as fit in this many values, and at least
+# one. A slice's distances and their squares (512 KiB) stay in a 2 MiB L2
+# cache; the tie closure's masks are as large as its distances. The working
+# set then grows with neither the block height nor, past one row, n: the wind
+# search (sash 4, p 100) traced 4.09 MB at n = 8760 and 9.46 MB at n = 26280,
+# against 13.0 and 38.1 MB with a buffer of _BLOCK_ROWS rows of n. On the year
+# wind search, untiled slices of 2**17 values took 27% longer than 1 MiB slices
+# cut into tiles of 8 rows, and slices of 2**16 6% longer than 2**15
+_BLOCK_VALUES = 1 << 15
 _EPS = np.finfo(float).eps
 # w * _UNDERFLOW bounds what squares flushed to zero, each below 2**-1075,
 # take off sqrt(w) times a distance: sqrt(w) * sqrt(w * 2**-1075) < w * 2**-535
@@ -154,33 +145,25 @@ def embed(source: HourlySeries, offsets: np.ndarray) -> np.ndarray:
     return source.values[(np.arange(n)[:, None] + offsets) % n]
 
 
-def _window_euclidean(queries: np.ndarray, candidates: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+def _window_euclidean(queries: np.ndarray, candidates: np.ndarray, out: np.ndarray, sq: np.ndarray) -> None:
     """``out[r, c]`` = the distance from row ``queries[r]`` to column c of
-    ``candidates`` (one matrix column per row, so (w, C) with w >= 1), as
-    ``cdist`` sums it: per column in order, subtract, square and add.
-    ``scratch`` holds at least ``_TILE_ROWS`` rows of C and ``_TILE_SIZE`` entries."""
-    tile = max(_TILE_ROWS, _TILE_SIZE // candidates.shape[1])
-    for r in range(0, queries.shape[0], tile):
-        acc = out[r : r + tile]
-        q = queries[r : r + tile, :, None]
-        sq = scratch[: acc.size].reshape(acc.shape)
-        np.subtract(q[:, 0], candidates[0], out=acc)
-        np.multiply(acc, acc, out=acc)
-        for j in range(1, candidates.shape[0]):
-            np.subtract(q[:, j], candidates[j], out=sq)
-            np.multiply(sq, sq, out=sq)
-            np.add(acc, sq, out=acc)
+    ``candidates`` (one matrix column per row, so (w, C)), as ``cdist`` sums
+    it: per column in order, subtract, square and add; ``sq`` is scratch of
+    ``out``'s shape. The sum starts at 0.0, which leaves the first square's
+    bytes as they are, and stays 0.0 when there are no columns."""
+    out.fill(0.0)
+    for j in range(candidates.shape[0]):
+        np.subtract(queries[:, j, None], candidates[j], out=sq)
+        np.multiply(sq, sq, out=sq)
+        np.add(out, sq, out=out)
     np.sqrt(out, out=out)
 
 
 def _select(d: np.ndarray, kk: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row of ``d``, the columns of its first ``kk`` entries in the order
     (value, column), and those values: the first ``kk`` of a stable sort."""
-    rows = np.arange(d.shape[0])
-    cols = np.empty((d.shape[0], kk), dtype=np.intp)
-    for r in range(0, d.shape[0], _PARTITION_ROWS):
-        cols[r : r + _PARTITION_ROWS] = np.argpartition(d[r : r + _PARTITION_ROWS], kk - 1, axis=1)[:, :kk]
-    kth = d[rows, cols[:, kk - 1]][:, None]
+    cols = np.argpartition(d, kk - 1, axis=1)[:, :kk]
+    kth = d[np.arange(d.shape[0]), cols[:, kk - 1]][:, None]
     # rows with more than kk candidates within the kk-th distance, where
     # partition chose among the equal ones arbitrarily: keep every closer
     # candidate plus the lowest-index ones at exactly the kk-th distance
@@ -200,29 +183,24 @@ def _select(d: np.ndarray, kk: int) -> tuple[np.ndarray, np.ndarray]:
     return np.take_along_axis(cols, order, axis=1), np.take_along_axis(vals, order, axis=1)
 
 
-def _measure(
-    m: np.ndarray, rows: np.ndarray, candidates: np.ndarray, kk: int, block: np.ndarray, scratch: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _measure(m: np.ndarray, rows: np.ndarray, candidates: np.ndarray, kk: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row of ``rows``, its first ``kk`` matrix rows among ``candidates``
     in the order (distance, index), and their distances, measured in slices
-    of as many rows as ``block`` holds distances to every candidate."""
+    of as many rows as ``_BLOCK_VALUES`` holds distances to every candidate."""
     # the candidates in index order, so that ties still go to the lower index
     window = np.sort(candidates)
     # gathered row-wise and then transposed, so each column is contiguous (a
     # gather from m.T would be strided)
     columns = np.ascontiguousarray(m[window].T)
-    # block holds at least n values, so a slice holds at least one row
-    step = block.size // window.size
+    step = max(1, _BLOCK_VALUES // window.size)
+    d = np.empty((min(step, rows.size), window.size))
+    sq = np.empty_like(d)
     cols = np.empty((rows.size, kk), dtype=np.intp)
     vals = np.empty((rows.size, kk))
     for r in range(0, rows.size, step):
         part = rows[r : r + step]
-        d = block[: part.size * window.size].reshape(part.size, window.size)
-        if m.shape[1]:
-            _window_euclidean(m[part], columns, d, scratch)
-        else:
-            d.fill(0.0)
-        cols[r : r + step], vals[r : r + step] = _select(d, kk)
+        _window_euclidean(m[part], columns, d[: part.size], sq[: part.size])
+        cols[r : r + step], vals[r : r + step] = _select(d[: part.size], kk)
     return window[cols], vals
 
 
@@ -271,8 +249,6 @@ def nearest_rows(
 
     indices = np.empty((n, k), dtype=index_dtype(n))
     radii = np.empty((n, 1))
-    scratch = np.empty(max(_TILE_ROWS * n, _TILE_SIZE))
-    block = np.empty(min(max(_BLOCK_VALUES, n), min(_BLOCK_ROWS, reps.size) * n))
     slack_max = slack.max(initial=0.0)
     h = 0.0
     for start in range(0, reps.size, _BLOCK_ROWS):
@@ -281,12 +257,12 @@ def nearest_rows(
         a, b = bounds[start], bounds[stop]
         s = sums[rows]
         if not windowed:
-            cols, vals = _measure(m, rows, order, kk, block, scratch)
+            cols, vals = _measure(m, rows, order, kk)
         else:
             # the block's sums widened by h, and by at least 2 kk rows on either side
             lo = max(0, min(np.searchsorted(sorted_sums, s.min() - h), a - 2 * kk))
             hi = min(n, max(np.searchsorted(sorted_sums, s.max() + h, "right"), b + 2 * kk))
-            cols, vals = _measure(m, rows, order[lo:hi], kk, block, scratch)
+            cols, vals = _measure(m, rows, order[lo:hi], kk)
             # |sum a - sum b| <= sqrt(w) |a - b|, so every row within the kk-th
             # distance, ties included, has a sum within reach of s; the reach
             # is widened by the rounding of distances and sums
@@ -303,7 +279,7 @@ def nearest_rows(
                 # to every sum any of them can reach, which certifies them all
                 lo2 = min(lo, np.searchsorted(sorted_sums, (s - reach)[left].min()))
                 hi2 = max(hi, np.searchsorted(sorted_sums, (s + reach)[left].max(), "right"))
-                cols[left], vals[left] = _measure(m, rows[left], order[lo2:hi2], kk, block, scratch)
+                cols[left], vals[left] = _measure(m, rows[left], order[lo2:hi2], kk)
 
         # a member and every entry before it in the shared order are at
         # distance 0, so moving it to the front or leaving it out keeps the

@@ -26,9 +26,9 @@ from .stats import Threshold, overage, summarize, underage
 class OffsetDistribution:
     """Offset-generating distribution for incremental selection.
 
-    ``below_probability`` (normal only) shifts the mean so an altered point
-    lies below its original with that probability: effective mean is
-    mu + sigma * z_pi, z_pi the standard-normal quantile at pi.
+    ``below_probability`` (normal only; another kind refuses it) shifts the
+    mean so an altered point lies below its original with that probability:
+    effective mean is mu + sigma * z_pi, z_pi the standard-normal quantile at pi.
     """
 
     kind: str  # "normal" | "exponential"
@@ -47,11 +47,14 @@ class OffsetDistribution:
         elif self.kind == "exponential":
             if self.mean <= 0:
                 raise InvalidDistributionParams(f"exponential mean must be > 0, got {self.mean}")
+            # recorded in the manifest but never drawn from, it would claim a shift that is not there
+            if self.below_probability is not None:
+                raise InvalidDistributionParams("below_probability applies to kind 'normal' only; remove it")
         else:
             raise InvalidDistributionParams(f"unknown distribution kind {self.kind!r}")
 
     def effective_mean(self) -> float:
-        if self.kind == "normal" and self.below_probability is not None:
+        if self.below_probability is not None:
             return self.mean + normal_below_probability(self.std, self.below_probability)
         return self.mean
 

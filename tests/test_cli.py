@@ -177,6 +177,18 @@ class TestPerturb:
         assert main(["perturb", cfg]) == EXIT_OK
         assert json.loads((out / "manifest.json").read_text())["params"]["below_probability"] == below
 
+    def test_exponential_refuses_below_probability(self, tmp_path, capsys):
+        # only the normal draw reads it: on exponential it would be echoed in the manifest and not applied
+        out = tmp_path / "alt"
+        cfg = write_config(tmp_path, {
+            "input": WIND, "method": "incremental", "seed": 3,
+            "distribution": {"kind": "exponential", "mean": 25, "below_probability": 0.3},
+            "output_dir": str(out),
+        })
+        assert main(["perturb", cfg]) == EXIT_CONFIG
+        assert "below_probability" in capsys.readouterr().err
+        assert_nothing_written(out)
+
     def test_seed_override(self, tmp_path):
         cfg = {"input": WIND, "method": "incremental", "distribution": {"kind": "normal", "std": 25}}
         seeded = write_config(tmp_path, {**cfg, "seed": 4, "output_dir": str(tmp_path / "a")})

@@ -45,6 +45,15 @@ def test_invalid_kernels():
         ResamplingKernel(np.array([1.5, -0.5]))
 
 
+@pytest.mark.parametrize("probabilities", [[np.nan, 1.0], [np.nan], [0.5, np.nan, 0.5]])
+def test_nan_probability_is_refused(probabilities):
+    # NaN passes both the sign and the sum check (every comparison with it is
+    # false); built, such a kernel drew rank 0 for every draw, where
+    # Generator.choice refuses the probabilities
+    with pytest.raises(ConfigError, match="finite"):
+        ResamplingKernel(np.array(probabilities))
+
+
 def _random_kernel(seed: int, k: int, spike: float) -> ResamplingKernel:
     """Random masses with about a quarter of them zero, and all but ``spike`` of
     the mass on rank 0, so the later CDF points crowd into a few buckets."""

@@ -313,8 +313,8 @@ class TestWindows:
 class TestSlices:
     """A block measures its rows against its window in slices of as many rows
     as ``_BLOCK_VALUES`` holds distances to every window row, and at least
-    one. Against a window of all n rows, budgets of 1 (the buffer floors at
-    n), n, 2n - 1 and 5n + 3 values give slices of one, one, one and five
+    one. Against a window of all n rows, budgets of 1 (a slice floors at one
+    row), n, 2n - 1 and 5n + 3 values give slices of one, one, one and five
     rows; narrower windows fit more. Every slice boundary is a place where a
     result written for the wrong rows, or a row measured twice or not at
     all, would show against the oracle."""
@@ -386,12 +386,13 @@ class TestSlices:
                 assert len(heights) > -(-np.unique(m, axis=0).shape[0] // block)
 
 
-# tracemalloc peak of this search on numpy 2.4.6: 5.32 MB in blocks of 128
-# rows and 7.21 MB in blocks of 512, of which the uint16 indices take 1.75 MB
-# and the distance buffer 1 MiB (_BLOCK_VALUES). A buffer sized for a
-# (_BLOCK_ROWS, n) block peaked at 12.96 MB (9.0 MB of it the buffer) and at
-# 42.8 MB in blocks of 512; so the budget, not the block height, bounds the
-# search, and the bound leaves under 1 MB above the 512-row peak.
+# tracemalloc peak of this search on numpy 2.4.6: 4.09 MB in blocks of 128
+# rows and 6.01 MB in blocks of 512, of which the uint16 indices take 1.75 MB
+# and a slice's distances and their squares 512 KiB (2 x _BLOCK_VALUES
+# float64). With 1 MiB slices cut into 8-row tiles it peaked at 5.32 and
+# 7.21 MB, and a buffer sized for a (_BLOCK_ROWS, n) block at 12.96 MB (9.0 MB
+# of it the buffer) and 42.8 MB in blocks of 512; so the budget, not the block
+# height, bounds the search, and the bound leaves about 1 MB above the 512-row peak.
 @pytest.mark.parametrize("block_rows", [128, 512])
 def test_year_search_peak_memory(monkeypatch, block_rows):
     """Pool indices of 16 bits, distances measured a slice of rows at a time
@@ -406,7 +407,7 @@ def test_year_search_peak_memory(monkeypatch, block_rows):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8e6
+    assert peak < 7e6
 
 
 def equal_rows_pools(n: int, k: int, include_self: bool) -> np.ndarray:

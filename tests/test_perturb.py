@@ -30,6 +30,11 @@ class TestOffsetDistribution:
         with pytest.raises(InvalidProbability):
             OffsetDistribution("normal", below_probability=1.5)
 
+    def test_below_probability_is_refused_on_exponential(self):
+        # the exponential draw never reads it, so accepting it would record a shift that is not applied
+        with pytest.raises(InvalidDistributionParams, match="below_probability"):
+            OffsetDistribution("exponential", mean=2.0, below_probability=0.3)
+
     def test_effective_mean_shift(self):
         d = OffsetDistribution("normal", mean=2.0, std=1.0, below_probability=0.75)
         assert d.effective_mean() == pytest.approx(2.674, abs=1e-3)
