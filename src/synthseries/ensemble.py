@@ -1,9 +1,10 @@
 """Ensembles of synthetic series with full reproducibility provenance.
 
-The member codec lives here alone. A member is saved as the bytes
-``csv.writer`` writes for one bare ``value`` column (``_bare_body``) and read
-back by one pass over that format (``_bare_cells``); a member that pass
-refuses is read by ``series.load_csv``, which reports what is wrong with it.
+The member codec lives here alone, and it handles one member at a time. A
+member is saved as the bytes ``csv.writer`` writes for one bare ``value``
+column (``_bare_body``) and read back by one pass over exactly those bytes
+(``_bare_cells``); a member that pass refuses is read by ``series.load_csv``,
+which reports what is wrong with it.
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import filterfalse
+from itertools import count, islice
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -21,17 +23,17 @@ import numpy as np
 
 from .errors import ChecksumMismatch, ConfigError, IOErrorSS, LengthMismatch, MalformedManifest, ValidationError
 from .neighbors import index_dtype
-from .series import HourlySeries, _read_text, load_csv, write_json
+from .series import HourlySeries, load_csv, write_json
 
 MANIFEST_NAME = "manifest.json"
 
-# characters that give a line CSV structure (a delimiter, a quote, a NUL);
-# a member without any of them is one bare column, one cell per line
-_CSV_SYNTAX = (",", '"', "\0")
+# bytes that give a line CSV structure (a delimiter, a quote, a NUL); a
+# member without any of them is one bare column, one cell per line
+_CSV_SYNTAX = (b",", b'"', b"\0")
 
-# members are decoded, formatted and read by the statistics in runs of about
-# this many values, so that temporaries stay at a few MB: the values of a
-# whole (2000, 720) ensemble alone take 11.5 MB, and its cells more
+# ``blocks`` decodes members for the statistics in runs of about this many
+# values, so that temporaries stay at a few MB: the values of a whole
+# (2000, 720) ensemble alone take 11.5 MB
 _RUN_VALUES = 1 << 16
 
 # recorded in every manifest in place of a per-series seed list
@@ -114,11 +116,6 @@ class Ensemble:
     def __len__(self) -> int:
         return int(self._coded[1].shape[0])
 
-    @property
-    def _run_rows(self) -> int:
-        """Members per run of about ``_RUN_VALUES`` values, one at least."""
-        return max(1, _RUN_VALUES // int(self._coded[1].shape[1]))
-
     def rows(self, start: int, stop: int) -> np.ndarray:
         """Members start to stop - 1, decoded from the pair as a (rows, n)
         float64 matrix."""
@@ -127,7 +124,7 @@ class Ensemble:
 
     def blocks(self) -> Iterator[np.ndarray]:
         """The members in order, as ``rows`` of about ``_RUN_VALUES`` values each."""
-        step = self._run_rows
+        step = max(1, _RUN_VALUES // int(self._coded[1].shape[1]))
         for start in range(0, len(self), step):
             yield self.rows(start, start + step)
 
@@ -139,8 +136,9 @@ class Ensemble:
     def save(self, directory: str | Path) -> Path:
         """Write one CSV per member plus a JSON manifest with each member's sha256.
 
-        Members are written in runs of about ``_RUN_VALUES`` values. A cell
-        is the ``repr`` of a table entry, each entry formatted once per save.
+        Member b is written from its own row of codes: its cells are the
+        ``repr`` of its table entries, each entry formatted once per save,
+        and its sha256 is over those entries' bytes.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -148,20 +146,15 @@ class Ensemble:
         width = max(4, len(str(B - 1)))
         names = [f"series_{b:0{width}d}.csv" for b in range(B)]
         checksums = []
-        step = self._run_rows
         table, codes = self._coded
         text = _cell_text(table)
         # member paths are joined as strings, since pathlib interns each name
         # it parses: the names could make the interpreter's table of interned
         # strings grow inside a save (by 1.9 MB once, in a test session)
-        for start in range(0, B, step):
-            run_codes = codes[start : start + step]
-            rows, cells = table[run_codes], text[run_codes].tolist()
-            for name, row, row_cells in zip(names[start : start + step], rows, cells):
-                with open(os.path.join(directory, name), "wb") as f:
-                    f.write(_bare_body(row_cells))
-                checksums.append(hashlib.sha256(row.tobytes()).hexdigest())
-            del rows, cells  # so that no run is held while the next one is formatted
+        for name, row in zip(names, codes):
+            with open(os.path.join(directory, name), "wb") as f:
+                f.write(_bare_body(text[row].tolist()))
+            checksums.append(hashlib.sha256(table[row].tobytes()).hexdigest())
         manifest = {
             "method": self.method,
             "config": self.config,
@@ -180,13 +173,15 @@ class Ensemble:
         against its manifest checksum and against the length of the first
         before the next is read.
 
-        Each distinct cell text is parsed once, when first seen, and given the
-        next code; a member's codes are its cells' codes. They are uint16,
-        widened once to uint32 when the table outgrows ``index_dtype``'s rule,
-        and ``values`` is decoded from them on first use. A member that is not
-        a bare value column of finite floats is read by ``load_csv``, which
-        reports what is wrong with it, and the ``repr`` of each value it
-        returns is coded as its cell.
+        A member in the exact form ``save`` writes is split into its cells in
+        one pass over its bytes, and each cell takes the code of its text, a
+        text not seen before the next code; only those new texts are parsed,
+        into the table in the order they first occur. Codes are uint16,
+        widened once to uint32 when the table outgrows ``index_dtype``'s
+        rule, and ``values`` is decoded from them on first use. Any other
+        member, or one with a new cell that is not a finite float, is read by
+        ``load_csv``, which reports what is wrong with it, and the ``repr``
+        of each value it returns is coded as its cell.
 
         The cells of a bootstrap ensemble are at most its source's n values,
         one member's worth. Members of values that are nearly all distinct
@@ -198,7 +193,7 @@ class Ensemble:
         directory = Path(directory)
         manifest = _read_manifest(directory)
         files = manifest["series_files"]
-        code_of: dict[str, int] = {}
+        code_of: defaultdict[bytes, int] = defaultdict()
         table = np.empty(0)
         size = 0  # entries of the table in use
         codes = np.empty((len(files), 0), dtype=np.uint16)
@@ -207,19 +202,17 @@ class Ensemble:
                 code_of.clear()
             # joined as a string: pathlib would intern every member name (see save)
             path = os.path.join(directory, name)
-            cells = _bare_cells(_read_text(path))
-            parsed = None if cells is None else _parse_unseen(cells, code_of)
-            if parsed is None:
-                cells = [repr(v) for v in load_csv(path).values.tolist()]
-                parsed = _parse_unseen(cells, code_of)
-            unseen, new_values = parsed
-            if size + len(unseen) > table.size:
-                table = np.concatenate([table[:size], np.empty(size + len(unseen))])
-            table[size : size + len(unseen)] = new_values
-            code_of.update(zip(unseen, range(size, size + len(unseen))))
-            size += len(unseen)
+            with open(path, "rb") as f:
+                cells = _bare_cells(f.read())
+            coded = None if cells is None else _code(cells, code_of, size)
+            if coded is None:
+                coded = _code([repr(v).encode() for v in load_csv(path).values.tolist()], code_of, size)
+            row, new_values = coded
+            if size + new_values.size > table.size:
+                table = np.concatenate([table[:size], np.empty(size + new_values.size)])
+            table[size : size + new_values.size] = new_values
+            size += new_values.size
             dtype = index_dtype(size)
-            row = np.fromiter(map(code_of.__getitem__, cells), dtype=dtype, count=len(cells))
             if hashlib.sha256(table[row].tobytes()).hexdigest() != expected:
                 raise ChecksumMismatch(f"{path} does not match its manifest checksum")
             if b == 0:
@@ -264,34 +257,37 @@ def _bare_body(cells: list[str]) -> bytes:
     return "\r\n".join(["value", *cells, ""]).encode("utf-8")
 
 
-def _bare_cells(text: str) -> list[str] | None:
-    """The cells of a member that is one bare column under a ``value``
-    header, with at least one row; None for any other text.
-
-    A bare column has no delimiter, quote or NUL anywhere. It is split into
-    lines at CR, LF or CRLF, as ``csv.reader`` splits it.
-    """
-    if any(c in text for c in _CSV_SYNTAX):
+def _bare_cells(data: bytes) -> list[bytes] | None:
+    """The cells of a member in the exact form ``save`` writes: ASCII, a
+    ``value`` header and then one row per cell, every line ended by CRLF,
+    and no delimiter, quote or NUL anywhere; None for any other bytes."""
+    if not (data.startswith(b"value\r\n") and data.endswith(b"\r\n") and data.isascii()):
         return None
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if lines[-1] == "":  # the final line break ends a row, it does not start one
-        lines.pop()
-    # an empty first line is no header for csv.reader, not an empty name
-    if len(lines) < 2 or not lines[0] or lines[0].strip() != "value":
+    if any(c in data for c in _CSV_SYNTAX):
         return None
-    del lines[0]
-    return lines
+    cells = data[7:-2].split(b"\r\n")
+    # every CR and every LF must belong to the CRLF that ends the header or a cell
+    ends = len(cells) + 1
+    return cells if data.count(b"\r") == ends and data.count(b"\n") == ends else None
 
 
-def _parse_unseen(cells: list[str], code_of: dict[str, int]) -> tuple[list[str], np.ndarray] | None:
-    """The distinct cells that have no code yet, in the order they first
-    occur, and their values; None if one of them is not a finite float."""
-    unseen = list(dict.fromkeys(filterfalse(code_of.__contains__, cells)))
+def _code(cells: list[bytes], code_of: defaultdict[bytes, int], size: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each cell's code in ``code_of``, a cell without one taking the next
+    code from ``size`` on, and the values of those new cells in code order;
+    None, with ``code_of`` as it was, if a new cell is not a finite float."""
+    known = len(code_of)
+    code_of.default_factory = count(size).__next__
+    row = np.fromiter(map(code_of.__getitem__, cells), dtype=np.intp, count=len(cells))
+    new = list(islice(reversed(code_of), len(code_of) - known))[::-1]
     try:
-        values = np.fromiter(map(float, unseen), dtype=float, count=len(unseen))
+        values = np.fromiter(map(float, new), dtype=float, count=len(new))
     except ValueError:
-        return None
-    return (unseen, values) if np.isfinite(values).all() else None
+        values = None
+    if values is not None and np.isfinite(values).all():
+        return row, values
+    for cell in new:
+        del code_of[cell]
+    return None
 
 
 _MANIFEST_FIELDS = {
