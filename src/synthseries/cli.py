@@ -39,7 +39,7 @@ from .adequacy import (
     weight_sweep,
 )
 from .ensemble import Ensemble
-from .errors import ChecksumMismatch, ConfigError, IOErrorSS, SynthSeriesError, ValidationError
+from .errors import ChecksumMismatch, ConfigError, IOErrorSS, SynthSeriesError
 from .nnlb import generate_nnlb_batch
 from .perturb import ClampPolicy, OffsetDistribution, altered_difference, direction_audit, incremental_select
 from .sbb import generate_sbb_batch
@@ -400,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
     except IOErrorSS as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValidationError, SynthSeriesError) as exc:
+    except SynthSeriesError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -313,6 +313,9 @@ def _read_manifest(directory: Path) -> dict[str, Any]:
     for key, kind in _MANIFEST_FIELDS.items():
         if not isinstance(manifest.get(key), kind):
             raise MalformedManifest(f"{path}: {key!r} missing or not a JSON {kind.__name__}")
+    seed = manifest["master_seed"]
+    if isinstance(seed, bool) or seed < 0:  # the child seed rule could not regenerate a member
+        raise MalformedManifest(f"{path}: 'master_seed' must be a non-negative integer, got {seed!r}")
     files, checksums = manifest["series_files"], manifest["series_checksums"]
     if not all(isinstance(x, str) for x in files + checksums) or len(files) != len(checksums):
         raise MalformedManifest(f"{path}: series_files and series_checksums must be equal-length lists of strings")

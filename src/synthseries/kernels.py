@@ -83,9 +83,13 @@ def uniform_kernel(k: int) -> ResamplingKernel:
     return ResamplingKernel(np.full(k, 1.0 / k), name="uniform")
 
 
-def make_kernel(name: str, k: int) -> ResamplingKernel:
-    if name == "harmonic":
+def make_kernel(kernel: ResamplingKernel | str, k: int) -> ResamplingKernel:
+    """A kernel given as itself, or one of k ranks by name. A generator calls this
+    once its search has accepted k, so that search errors come before kernel errors."""
+    if isinstance(kernel, ResamplingKernel):
+        return kernel
+    if kernel == "harmonic":
         return harmonic_kernel(k)
-    if name == "uniform":
+    if kernel == "uniform":
         return uniform_kernel(k)
-    raise ConfigError(f"unknown kernel {name!r} (choose harmonic or uniform)")
+    raise ConfigError(f"unknown kernel {kernel!r} (choose harmonic or uniform)")

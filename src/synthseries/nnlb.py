@@ -42,8 +42,7 @@ def generate_nnlb(
 ) -> HourlySeries:
     """One synthetic series; deterministic for a fixed seed."""
     pools = find_neighbor_pools(build_lag_matrix(source, lag), k, include_self)
-    # a named kernel is built only once the search has accepted k
-    kernel = kernel if isinstance(kernel, ResamplingKernel) else make_kernel(kernel, k)
+    kernel = make_kernel(kernel, k)
     indices = sample(source, pools, kernel, np.random.default_rng(seed))
     return HourlySeries(source.values[indices], label=f"{source.label}_nnlb")
 
@@ -64,7 +63,6 @@ def generate_nnlb_batch(
     batch; series b is a pure function of (source, config, child seed b).
     """
     pools = find_neighbor_pools(build_lag_matrix(source, lag), k, include_self)
-    # a named kernel is built only once the search has accepted k
-    kernel = kernel if isinstance(kernel, ResamplingKernel) else make_kernel(kernel, k)
+    kernel = make_kernel(kernel, k)
     config = {"lag": lag, "k": k, "kernel": kernel.name, "include_self": include_self, "B": B}
     return run_batch(partial(sample, source, pools, kernel), source, "nnlb", config, B, master_seed, threads=threads)

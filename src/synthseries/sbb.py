@@ -42,8 +42,7 @@ def generate_sbb(
 ) -> HourlySeries:
     """One synthetic series; uniform pool selection unless a kernel is given."""
     pools = find_window_pools(build_windows(source, sash), p, include_self)
-    # a named kernel is built only once the search has accepted p
-    kernel = kernel if isinstance(kernel, ResamplingKernel) else make_kernel(kernel, p)
+    kernel = make_kernel(kernel, p)
     indices = sample(source, pools, kernel, np.random.default_rng(seed))
     return HourlySeries(source.values[indices], label=f"{source.label}_sbb")
 
@@ -60,7 +59,6 @@ def generate_sbb_batch(
 ) -> Ensemble:
     """B independent series; same child-seed scheme as the NNLB batch."""
     pools = find_window_pools(build_windows(source, sash), p, include_self)
-    # a named kernel is built only once the search has accepted p
-    kernel = kernel if isinstance(kernel, ResamplingKernel) else make_kernel(kernel, p)
+    kernel = make_kernel(kernel, p)
     config = {"sash": sash, "p": p, "kernel": kernel.name, "include_self": include_self, "B": B}
     return run_batch(partial(sample, source, pools, kernel), source, "sbb", config, B, master_seed, threads=threads)

@@ -45,6 +45,9 @@ class SummaryStats:
 
 STAT_ROWS = ["Min", "First Quartile", "Median", "Third Quartile", "Max",
              "Mean", "Standard Dev.", "Coeff. of Var."]
+# summary-table column -> the statistic of the per-member values it holds;
+# ExceedanceReport.describe() gives the same statistics in the same order
+_SPREAD_COLUMNS = {"mean": "mean", "std": "std", "min": "min", "25%": "q1", "50%": "median", "75%": "q3", "max": "max"}
 
 
 def _require_finite(what: str, *results: np.ndarray | float) -> None:
@@ -52,23 +55,23 @@ def _require_finite(what: str, *results: np.ndarray | float) -> None:
         raise ValidationError(f"{what} overflow float64; the values are too large to summarise")
 
 
-def _row_stats(values: np.ndarray, autocorr_lag: int) -> dict[str, np.ndarray]:
-    """Every :class:`SummaryStats` field of each row of a (rows, n) matrix, taken along axis 1.
+def _row_stats(values: np.ndarray, autocorr_lag: int | None = None) -> dict[str, np.ndarray]:
+    """Min, quartiles, max, mean and std of each row of a (rows, n) matrix, taken along
+    axis 1; given a lag, every :class:`SummaryStats` field.
 
-    Each row is centred once, for the std (by the steps of ``std(ddof=1)``) and the
-    non-circular lag autocorrelation (0 for a constant row)."""
-    if autocorr_lag < 1:
-        raise ConfigError(f"autocorr lag must be >= 1, got {autocorr_lag}")
+    Each row is centred once, for the std (by the steps of ``std(ddof=1)``; 0.0 for a
+    row of one value) and the non-circular lag autocorrelation (0 for a constant row)."""
     n = values.shape[1]
-    if n <= autocorr_lag:
+    if autocorr_lag is not None and autocorr_lag < 1:
+        raise ConfigError(f"autocorr lag must be >= 1, got {autocorr_lag}")
+    if autocorr_lag is not None and n <= autocorr_lag:
         raise SeriesTooShort(f"length {n} must exceed autocorr lag {autocorr_lag}")
     with np.errstate(over="ignore", invalid="ignore"):
         q1, med, q3 = np.percentile(values, [25, 50, 75], axis=1)  # linear interpolation
         mean = values.mean(axis=1)
         x = values - mean[:, None]
         ss = np.multiply(x, x).sum(axis=1)
-        lagged = np.multiply(x[:, :-autocorr_lag], x[:, autocorr_lag:]).sum(axis=1)
-        std = np.sqrt(ss / (n - 1))
+        std = np.sqrt(ss / max(n - 1, 1))  # ss is 0.0 for a row of one value
         stats = {
             "min": values.min(axis=1),
             "q1": q1,
@@ -77,9 +80,11 @@ def _row_stats(values: np.ndarray, autocorr_lag: int) -> dict[str, np.ndarray]:
             "max": values.max(axis=1),
             "mean": mean,
             "std": std,
-            "coeff_of_variation": np.divide(std, mean, out=np.zeros_like(std), where=mean != 0),
-            "autocorr": np.divide(lagged, ss, out=np.zeros_like(ss), where=ss != 0),
         }
+        if autocorr_lag is not None:
+            lagged = np.multiply(x[:, :-autocorr_lag], x[:, autocorr_lag:]).sum(axis=1)
+            stats["coeff_of_variation"] = np.divide(std, mean, out=np.zeros_like(std), where=mean != 0)
+            stats["autocorr"] = np.divide(lagged, ss, out=np.zeros_like(ss), where=ss != 0)
     _require_finite("summary statistics", *stats.values())
     return stats
 
@@ -87,16 +92,6 @@ def _row_stats(values: np.ndarray, autocorr_lag: int) -> dict[str, np.ndarray]:
 def summarize(series: HourlySeries, autocorr_lag: int = 24) -> SummaryStats:
     stats = _row_stats(series.values.reshape(1, -1), autocorr_lag)
     return SummaryStats(autocorr_lag=autocorr_lag, **{name: float(v[0]) for name, v in stats.items()})
-
-
-def _spread(values: np.ndarray) -> tuple[float, ...]:
-    """Mean, std, min, quartiles and max of per-member values."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        q1, med, q3 = np.percentile(values, [25, 50, 75])
-        std = float(values.std(ddof=1)) if values.size > 1 else 0.0
-        spread = float(values.mean()), std, float(values.min()), float(q1), float(med), float(q3), float(values.max())
-    _require_finite("the spread of the per-member values", *spread)
-    return spread
 
 
 @dataclass(frozen=True)
@@ -173,7 +168,8 @@ class ExceedanceReport:
     masses: np.ndarray
 
     def describe(self) -> dict[str, float]:
-        return dict(zip(("mean", "std", "min", "q1", "median", "q3", "max"), _spread(self.values)))
+        spread = _row_stats(self.values[None])
+        return {name: float(spread[name][0]) for name in _SPREAD_COLUMNS.values()}
 
 
 # statistic name -> (whether it counts deficits, field of the (totals, counts) result)
@@ -205,24 +201,23 @@ def empirical_distribution(
 
 
 def ensemble_summary_table(
-    ensemble: Ensemble, original: HourlySeries | None = None, autocorr_lag: int = 24
+    ensemble: Ensemble, original: HourlySeries, autocorr_lag: int = 24
 ) -> dict[str, dict[str, float]]:
     """Distribution of each summary statistic across the ensemble.
 
     Rows are the per-series statistics, each taken along axis 1 of each of
     ``ensemble.blocks()`` by the code :func:`summarize` runs on one series;
-    columns are mean/std/min/25%/50%/75%/max over the B series, plus the
-    original's value when supplied.
+    columns are mean/std/min/25%/50%/75%/max over the B series, taken along
+    the rows of the (statistics, B) matrix, and the original's value.
     """
     blocks = [_row_stats(rows, autocorr_lag) for rows in ensemble.blocks()]
-    columns = {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
-    orig = summarize(original, autocorr_lag) if original is not None else None
+    columns = np.stack([np.concatenate([block[name] for block in blocks]) for name in blocks[0]])
+    spread = _row_stats(columns)
+    orig = _row_stats(original.values[None], autocorr_lag)
     table: dict[str, dict[str, float]] = {}
-    for row, (attr, col) in zip(STAT_ROWS + [f"Autocorr. Lag: {autocorr_lag}"], columns.items()):
-        entry = dict(zip(("mean", "std", "min", "25%", "50%", "75%", "max"), _spread(col)))
-        if orig is not None:
-            entry["original"] = float(getattr(orig, attr))
-        table[row] = entry
+    for i, (row, value) in enumerate(zip(STAT_ROWS + [f"Autocorr. Lag: {autocorr_lag}"], orig.values())):
+        entry = {column: float(spread[name][i]) for column, name in _SPREAD_COLUMNS.items()}
+        table[row] = {**entry, "original": float(value[0])}
     return table
 
 
@@ -232,8 +227,8 @@ def write_table_csv(table: dict[str, dict[str, float]], path) -> None:
     write_rows(path, [["Description", *cols], *rows])
 
 
-def histogram_csv(report: ExceedanceReport, path, bins: int = 30) -> None:
-    """Emit bin edges/counts for external plotting."""
-    counts, edges = np.histogram(report.values, bins=bins)
+def histogram_csv(report: ExceedanceReport, path) -> None:
+    """Emit 30 bins' edges and counts for external plotting."""
+    counts, edges = np.histogram(report.values, bins=30)
     rows = ([repr(float(left)), repr(float(right)), int(c)] for left, right, c in zip(edges[:-1], edges[1:], counts))
     write_rows(path, [["bin_left", "bin_right", "count"], *rows])

@@ -189,6 +189,8 @@ def test_members_are_the_rows_of_one_read_only_matrix(tmp_path, rng):
     lambda m: m.pop("series_files"),
     lambda m: m.update(series_checksums=m["series_checksums"][:1]),
     lambda m: m.update(master_seed="five"),
+    lambda m: m.update(master_seed=True),
+    lambda m: m.update(master_seed=-1),
     lambda m: m.update(series_files=[], series_checksums=[]),
 ])
 def test_load_rejects_a_malformed_manifest(tmp_path, rng, edit):

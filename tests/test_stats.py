@@ -131,6 +131,20 @@ class TestExceedance:
         with pytest.raises(ValidationError, match="overflow"):
             ExceedanceReport("underage", values, np.full(2, 0.5)).describe()
 
+    @pytest.mark.parametrize("values", [
+        [3.0],  # std 0.0, as one member's table column has
+        [2.5, -0.0],
+        [4.0, 1.0, 4.0, 0.0, 7.25, 1.0, 4.0],
+    ])
+    def test_describe_gives_the_bytes_of_numpy_on_the_values(self, values):
+        values = np.array(values)
+        got = ExceedanceReport("underage", values, np.full(values.size, 1 / values.size)).describe()
+        q1, med, q3 = np.percentile(values, [25, 50, 75])
+        std = values.std(ddof=1) if values.size > 1 else 0.0
+        expected = [values.mean(), std, values.min(), q1, med, q3, values.max()]
+        assert list(got) == ["mean", "std", "min", "q1", "median", "q3", "max"]
+        assert np.array(list(got.values())).tobytes() == np.array(expected, dtype=float).tobytes()
+
     def test_full_length_chunk(self, rng):
         s = HourlySeries(np.abs(rng.normal(10, 3, size=48)))
         t = HourlySeries(np.abs(rng.normal(10, 3, size=48)))
@@ -220,12 +234,13 @@ class TestSummaryTable:
         ]
         assert all("original" in entry for entry in table.values())
 
+    @pytest.mark.parametrize("B", [1, 2, 25])
     @pytest.mark.parametrize("source", ["solar", "wind", "mixed"])
-    def test_columns_equal_a_loop_over_the_members(self, source, request, rng):
+    def test_columns_equal_a_loop_over_the_members(self, source, B, request, rng):
         """The axis-1 statistics give the bytes of one 1-D computation per member."""
         s = (HourlySeries(rng.normal(0, 1, size=500) * 10.0 ** rng.integers(-3, 6, size=500)) if source == "mixed"
              else request.getfixturevalue(f"{source}_fixture"))
-        ens = generate_sbb_batch(s, 2, 5, B=25, master_seed=3)
+        ens = generate_sbb_batch(s, 2, 5, B=B, master_seed=3)
         per_member = [loop_summary(row, 24) for row in ens.values]
         for b, row in enumerate(ens.values):
             assert list(summarize(HourlySeries(row)).as_dict().values()) == per_member[b]
@@ -233,7 +248,8 @@ class TestSummaryTable:
         for i, entry in enumerate(table.values()):
             col = np.array([m[i] for m in per_member])
             q1, med, q3 = np.percentile(col, [25, 50, 75])
-            expected = [col.mean(), col.std(ddof=1), col.min(), q1, med, q3, col.max(), loop_summary(s.values, 24)[i]]
+            std = col.std(ddof=1) if B > 1 else 0.0
+            expected = [col.mean(), std, col.min(), q1, med, q3, col.max(), loop_summary(s.values, 24)[i]]
             assert list(entry.values()) == [float(v) for v in expected]
 
 
