@@ -151,9 +151,9 @@ def ensemble_adequacy(
     rng = np.random.default_rng(pairing_seed)
     try:
         si = rng.integers(0, len(solar_ensemble), size=B)
-    except ValueError:  # a size numpy cannot represent, refused before allocating
+        wi = rng.integers(0, len(wind_ensemble), size=B)
+    except (ValueError, MemoryError):  # a size numpy cannot represent or the process cannot map
         raise OutOfRange(f"pairs={B} is too large for one array of pair indices") from None
-    wi = rng.integers(0, len(wind_ensemble), size=B)
     return [
         _adequacy(_weighted(weights, member(solar_ensemble, a), member(wind_ensemble, b)),
                   nuclear.values, load.values, shortfall_fraction)

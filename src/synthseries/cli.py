@@ -96,68 +96,46 @@ def _coerce(value: Any, kind: type, key: str) -> Any:
         raise ConfigError(f"{key!r} must be {name}, got {value!r}") from None
 
 
-def _require(cfg: dict[str, Any], key: str, kind: type | None = None) -> Any:
+_REQUIRED = object()
+
+# what a value of each kind checked by ``isinstance`` must be, as errors say it
+_KIND_NAMES = {bool: "true or false", dict: "a JSON object", str: "a column name string", Path: "a path string",
+               list: "a list of finite numbers"}
+
+
+def _get(cfg: dict[str, Any], key: str, kind: type | None = None, default: Any = _REQUIRED) -> Any:
+    """``cfg[key]`` read as ``kind``; an absent key gives ``default`` as it
+    is, or is a config error if there is none. ``int`` and ``float`` go
+    through ``_coerce``; a ``Path`` is a string, returned as a ``Path``; a
+    ``list`` holds finite JSON numbers and no bools, and is passed on as
+    written (outputs echo it); no kind takes the value as written."""
     if key not in cfg:
-        raise ConfigError(f"config missing required key {key!r}")
-    return cfg[key] if kind is None else _coerce(cfg[key], kind, key)
+        if default is _REQUIRED:
+            raise ConfigError(f"config missing required key {key!r}")
+        return default
+    value = cfg[key]
+    if kind in (int, float):
+        return _coerce(value, kind, key)
+    valid = kind is None or isinstance(value, str if kind is Path else kind)
+    if valid and kind is list:
+        try:
+            valid = all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in value)
+        except OverflowError:  # an int beyond the largest float
+            valid = False
+    if not valid:
+        raise ConfigError(f"{key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return Path(value) if kind is Path else value
 
 
 def _seed(cfg: dict[str, Any], key: str) -> int:
-    seed = _require(cfg, key, int)
+    seed = _get(cfg, key, int)
     if seed < 0:
         raise ConfigError(f"{key!r} must be a non-negative integer, got {seed}")
     return seed
 
 
-def _path(cfg: dict[str, Any], key: str) -> Path:
-    value = _require(cfg, key)
-    if not isinstance(value, str):
-        raise ConfigError(f"{key!r} must be a path string, got {value!r}")
-    return Path(value)
-
-
-def _get(cfg: dict[str, Any], key: str, kind: type, default: Any) -> Any:
-    return _coerce(cfg.get(key, default), kind, key)
-
-
-def _flag(cfg: dict[str, Any], key: str, default: bool) -> bool:
-    value = cfg.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key!r} must be true or false, got {value!r}")
-    return value
-
-
-def _section(cfg: dict[str, Any], key: str, default: dict[str, Any] | None = None) -> dict[str, Any]:
-    """A nested JSON object: required unless a default is given."""
-    value = _require(cfg, key) if default is None else cfg.get(key, default)
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key!r} must be a JSON object, got {value!r}")
-    return value
-
-
-def _numbers(cfg: dict[str, Any], key: str) -> list[float]:
-    """A list of finite JSON numbers, passed on as written (outputs echo them)."""
-    values = _require(cfg, key)
-    try:
-        finite = isinstance(values, list) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in values
-        )
-    except OverflowError:  # an int beyond the largest float
-        finite = False
-    if not finite:
-        raise ConfigError(f"{key!r} must be a list of finite numbers, got {values!r}")
-    return values
-
-
-def _value_column(cfg: dict[str, Any]) -> str:
-    value = cfg.get("value_column", "value")
-    if not isinstance(value, str):
-        raise ConfigError(f"'value_column' must be a column name string, got {value!r}")
-    return value
-
-
 def _load_series(cfg: dict[str, Any], key: str, value_column: str) -> HourlySeries:
-    path = _path(cfg, key)
+    path = _get(cfg, key, Path)
     if not path.exists():
         raise IOErrorSS(f"input file not found: {path}")
     return load_csv(path, value_column=value_column)
@@ -167,22 +145,22 @@ def _load_series(cfg: dict[str, Any], key: str, value_column: str) -> HourlySeri
 
 
 def cmd_generate(cfg: dict[str, Any]) -> int:
-    value_column = _value_column(cfg)
+    value_column = _get(cfg, "value_column", str, "value")
     source = _load_series(cfg, "input", value_column)
-    method = _require(cfg, "method")
-    params = _section(cfg, "params")
-    B = _require(cfg, "B", int)
+    method = _get(cfg, "method")
+    params = _get(cfg, "params", dict)
+    B = _get(cfg, "B", int)
     seed = _seed(cfg, "seed")
-    out_dir = _path(cfg, "output_dir")
-    include_self = _flag(params, "include_self", True)
+    out_dir = _get(cfg, "output_dir", Path)
+    include_self = _get(params, "include_self", bool, True)
     if method == "nnlb":
         ens = generate_nnlb_batch(
-            source, _require(params, "lag", int), _require(params, "k", int), B, seed,
+            source, _get(params, "lag", int), _get(params, "k", int), B, seed,
             kernel=params.get("kernel", "harmonic"), include_self=include_self,
         )
     elif method == "sbb":
         ens = generate_sbb_batch(
-            source, _require(params, "sash", int), _require(params, "p", int), B, seed,
+            source, _get(params, "sash", int), _get(params, "p", int), B, seed,
             kernel=params.get("kernel", "uniform"), include_self=include_self,
         )
     else:
@@ -193,21 +171,21 @@ def cmd_generate(cfg: dict[str, Any]) -> int:
 
 
 def cmd_perturb(cfg: dict[str, Any]) -> int:
-    value_column = _value_column(cfg)
-    method = _require(cfg, "method")
-    out_dir = _path(cfg, "output_dir")
+    value_column = _get(cfg, "value_column", str, "value")
+    method = _get(cfg, "method")
+    out_dir = _get(cfg, "output_dir", Path)
     if method == "incremental":
         source = _load_series(cfg, "input", value_column)
         seed = _seed(cfg, "seed")
-        dcfg = _section(cfg, "distribution")
+        dcfg = _get(cfg, "distribution", dict)
         below = dcfg.get("below_probability")
         dist = OffsetDistribution(
-            kind=_require(dcfg, "kind"),
+            kind=_get(dcfg, "kind"),
             mean=_get(dcfg, "mean", float, 0.0),
             std=_get(dcfg, "std", float, 1.0),
             below_probability=None if below is None else _coerce(below, float, "below_probability"),
         )
-        ccfg = _section(cfg, "clamp", {})
+        ccfg = _get(cfg, "clamp", dict, {})
         clamp = ClampPolicy(
             alpha_max=_get(ccfg, "alpha_max", float, 1.0),
             alpha_min=_get(ccfg, "alpha_min", float, -1.0),
@@ -221,9 +199,9 @@ def cmd_perturb(cfg: dict[str, Any]) -> int:
         high = _load_series(cfg, "high", value_column)
         low = _load_series(cfg, "low", value_column)
         altered = altered_difference(
-            high, low, _require(cfg, "alpha", float),
-            delta_nonneg=_flag(cfg, "delta_nonneg", False),
-            result_nonneg=_flag(cfg, "result_nonneg", False),
+            high, low, _get(cfg, "alpha", float),
+            delta_nonneg=_get(cfg, "delta_nonneg", bool, False),
+            result_nonneg=_get(cfg, "result_nonneg", bool, False),
         )
         audit_key = cfg.get("audit_against", "high")
         if audit_key not in ("high", "low"):
@@ -253,17 +231,17 @@ def cmd_perturb(cfg: dict[str, Any]) -> int:
 
 
 def cmd_analyze(cfg: dict[str, Any]) -> int:
-    value_column = _value_column(cfg)
-    ens = Ensemble.load(_path(cfg, "ensemble_dir"))
+    value_column = _get(cfg, "value_column", str, "value")
+    ens = Ensemble.load(_get(cfg, "ensemble_dir", Path))
     original = _load_series(cfg, "original", value_column)
     if original.checksum() != ens.source_checksum:
         raise ChecksumMismatch(
             f"original {cfg['original']} is not the series the ensemble in {cfg['ensemble_dir']} was generated from"
         )
-    out_dir = _path(cfg, "output_dir")
+    out_dir = _get(cfg, "output_dir", Path)
     autocorr_lag = _get(cfg, "autocorr_lag", int, 24)
     table = st.ensemble_summary_table(ens, original, autocorr_lag)
-    tcfg = _section(cfg, "threshold", {"kind": "proportional", "alpha": 0.05})
+    tcfg = _get(cfg, "threshold", dict, {"kind": "proportional", "alpha": 0.05})
     threshold = st.Threshold(
         kind=tcfg.get("kind", "proportional"),
         e=_get(tcfg, "e", float, 0.0),
@@ -291,12 +269,12 @@ def cmd_analyze(cfg: dict[str, Any]) -> int:
 
 
 def cmd_vre(cfg: dict[str, Any]) -> int:
-    value_column = _value_column(cfg)
+    value_column = _get(cfg, "value_column", str, "value")
     solar = _load_series(cfg, "solar", value_column)
     wind = _load_series(cfg, "wind", value_column)
     nuclear = _load_series(cfg, "nuclear", value_column)
     load = _load_series(cfg, "load", value_column)
-    out_dir = _path(cfg, "output_dir")
+    out_dir = _get(cfg, "output_dir", Path)
     fraction = _get(cfg, "shortfall_fraction", float, 0.9)
     if not any(k in cfg for k in ("weights", "sweep", "ensembles")):
         raise ConfigError("vre config needs at least one of: weights, sweep, ensembles")
@@ -306,29 +284,29 @@ def cmd_vre(cfg: dict[str, Any]) -> int:
     # and every result computed, so a run that fails leaves none behind
     writes: list[Callable[[], None]] = []
     if "weights" in cfg:
-        w = _section(cfg, "weights")
-        weights = VreWeights(_require(w, "solar", float), _require(w, "wind", float))
+        w = _get(cfg, "weights", dict)
+        weights = VreWeights(_get(w, "solar", float), _get(w, "wind", float))
         vre = combine_vre(solar, wind, weights)
         result = compute_adequacy(vre, nuclear, load, fraction)
         writes.append(partial(write_json, {"weights": w, **result.as_dict()}, out_dir / "adequacy.json"))
 
     if "sweep" in cfg:
-        sw = _section(cfg, "sweep")
+        sw = _get(cfg, "sweep", dict)
         results = weight_sweep(
             solar, wind, nuclear, load,
-            curtailment_cap=_require(sw, "curtailment_cap", float),
-            solar_weights=_numbers(sw, "solar_weights"),
-            wind_weights=_numbers(sw, "wind_weights"),
+            curtailment_cap=_get(sw, "curtailment_cap", float),
+            solar_weights=_get(sw, "solar_weights", list),
+            wind_weights=_get(sw, "wind_weights", list),
             shortfall_fraction=fraction,
         )
         writes.append(partial(sweep_table_csv, results, out_dir / "sweep.csv"))
 
     if "ensembles" in cfg:
-        e = _section(cfg, "ensembles")
+        e = _get(cfg, "ensembles", dict)
         pairs = e.get("pairs")
         results = ensemble_adequacy(
-            Ensemble.load(_path(e, "solar_dir")),
-            Ensemble.load(_path(e, "wind_dir")),
+            Ensemble.load(_get(e, "solar_dir", Path)),
+            Ensemble.load(_get(e, "wind_dir", Path)),
             nuclear, load, weights,
             pairing_seed=_seed(e, "pairing_seed"),
             pairs=None if pairs is None else _coerce(pairs, int, "pairs"),

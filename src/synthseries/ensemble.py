@@ -54,6 +54,15 @@ def child_rng(master_seed: int, series_index: int) -> np.random.Generator:
     return np.random.default_rng(child_seed(master_seed, series_index))
 
 
+def _master_seed(master_seed: Any) -> int:
+    """``master_seed`` as an int, so that a numpy integer is saved as a JSON
+    number; a bool, a negative or a non-integer is a config error, since
+    ``load`` would refuse it in a manifest."""
+    if isinstance(master_seed, bool) or not isinstance(master_seed, (int, np.integer)) or master_seed < 0:
+        raise ConfigError(f"'master_seed' must be a non-negative integer, got {master_seed!r}")
+    return int(master_seed)
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class Ensemble:
     """B synthetic series plus the provenance needed to regenerate them.
@@ -96,12 +105,12 @@ class Ensemble:
         self, table: np.ndarray, codes: np.ndarray, method: str, config: dict[str, Any], master_seed: int,
         source_checksum: str,
     ) -> None:
-        """Check the pair and set every field."""
+        """Check the pair and the seed, and set every field."""
         if codes.ndim != 2 or codes.shape[0] < 1 or codes.shape[1] < 1:
             raise ConfigError("ensemble must contain at least one non-empty series")
         if not np.isfinite(table).all():
             raise ValidationError("ensemble contains NaN or infinite values")
-        fields = {"method": method, "config": config, "master_seed": master_seed,
+        fields = {"method": method, "config": config, "master_seed": _master_seed(master_seed),
                   "source_checksum": source_checksum, "_coded": (table, codes)}
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -352,9 +361,10 @@ def run_batch(
     if B < 1:
         raise ConfigError(f"B must be >= 1, got {B}")
     n = len(source)
+    master_seed = _master_seed(master_seed)
     try:
         codes = np.empty((B, n), dtype=index_dtype(n))
-    except ValueError:  # a shape numpy cannot represent, refused before allocating
+    except (ValueError, MemoryError):  # a shape numpy cannot represent or the process cannot map
         raise ConfigError(f"B={B} is too large: {B} members of {n} values do not fit in one array") from None
     for b in range(B):
         codes[b] = generate_one(child_rng(master_seed, b))

@@ -614,6 +614,24 @@ class TestExitCodes:
         assert f"B={10**20} is too large" in capsys.readouterr().err
         assert_nothing_written(out)
 
+    # representable sizes above 2**57 bytes, more than an x86-64 (5-level
+    # paging) or arm64 process can map, so numpy raises MemoryError and allocates nothing
+    def test_member_count_too_large_to_allocate_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = self._config("generate", Path(), out) | {"B": 10**14}  # 1440 uint16 codes each: 2.9e17 bytes
+        assert main(["generate", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert f"B={10**14} is too large" in capsys.readouterr().err
+        assert_nothing_written(out)
+
+    def test_pair_count_too_large_to_allocate_is_config_error(self, tmp_path, capsys, small_ensembles):
+        out = tmp_path / "out"
+        solar, wind = small_ensembles
+        cfg = self._config("vre", solar, out) | {"ensembles": {  # int64 pair indices: 8e17 bytes
+            "solar_dir": str(solar), "wind_dir": str(wind), "pairing_seed": 7, "pairs": 10**17}}
+        assert main(["vre", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert f"pairs={10**17} is too large" in capsys.readouterr().err
+        assert_nothing_written(out)
+
     @pytest.mark.parametrize("size", [10**7, 10**20])
     @pytest.mark.parametrize("method, params, key", [("nnlb", {"lag": 3}, "k"), ("sbb", {"sash": 2}, "p")])
     def test_pool_size_is_refused_before_it_is_allocated(self, tmp_path, capsys, method, params, key, size):
@@ -719,6 +737,47 @@ class TestExitCodes:
         assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
         assert "'value_column' must be a column name string" in capsys.readouterr().err
         assert_nothing_written(out)
+
+    # one case per kind of value the config reader checks; a value of ... removes the key
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("generate", "method", ..., "config missing required key 'method'"),
+        ("generate", "B", "3", "'B' must be an integer, got '3'"),
+        ("vre", "shortfall_fraction", "0.9", "'shortfall_fraction' must be a number, got '0.9'"),
+        ("generate", "params.include_self", "false", "'include_self' must be true or false, got 'false'"),
+        ("generate", "params", [2, 4], "'params' must be a JSON object, got [2, 4]"),
+        ("analyze", "ensemble_dir", 5, "'ensemble_dir' must be a path string, got 5"),
+        ("perturb", "value_column", ["value"], "'value_column' must be a column name string, got ['value']"),
+        ("generate", "seed", -1, "'seed' must be a non-negative integer, got -1"),
+        ("vre", "sweep", {"curtailment_cap": 0.5, "solar_weights": [0, True], "wind_weights": [0, 2]},
+         "'solar_weights' must be a list of finite numbers, got [0, True]"),
+    ])
+    def test_config_error_names_the_key_and_the_kind_it_must_be(self, tmp_path, capsys, small_ensembles, command,
+                                                               key, value, message):
+        out = tmp_path / "out"
+        cfg = self._config(command, small_ensembles[0], out)
+        if value is ...:
+            del cfg[key]
+        else:
+            cfg = with_settings(cfg, {key: value})
+        assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert_nothing_written(out)
+
+    @pytest.mark.parametrize("command, section, key, output", [
+        ("perturb", "distribution", "below_probability", "altered.csv"),
+        ("vre", "ensembles", "pairs", "ensemble_adequacy.json"),
+    ])
+    def test_null_probability_or_pair_count_is_read_as_absent(self, tmp_path, small_ensembles, command, section,
+                                                              key, output):
+        cfg = self._config(command, small_ensembles[0], tmp_path / "absent")
+        if command == "vre":
+            cfg["ensembles"] = {"solar_dir": str(small_ensembles[0]), "wind_dir": str(small_ensembles[1]),
+                                "pairing_seed": 7}
+        cfg[section] = {k: v for k, v in cfg[section].items() if k != key}
+        assert main([command, write_config(tmp_path, cfg)]) == EXIT_OK
+        cfg = with_settings(cfg, {f"{section}.{key}": None, "output_dir": str(tmp_path / "null")})
+        assert main([command, write_config(tmp_path, cfg)]) == EXIT_OK
+        assert (tmp_path / "null" / output).read_bytes() == (tmp_path / "absent" / output).read_bytes()
 
     def test_manifest_without_series_files_is_io_error(self, tmp_path, capsys):
         ens = self._generate(tmp_path)

@@ -204,6 +204,32 @@ def test_load_rejects_a_malformed_manifest(tmp_path, rng, edit):
         Ensemble.load(tmp_path / "ens")
 
 
+@pytest.mark.parametrize("seed", [-1, True, 2.0, "3", None, np.int64(-1)], ids=repr)
+@pytest.mark.parametrize("make", ["batch", "constructor"])
+def test_master_seed_that_cannot_regenerate_a_member_is_config_error(seed, make):
+    # a seed of -1 ended in numpy's ValueError, and True was saved into a
+    # manifest that load refuses
+    with pytest.raises(ConfigError, match=r"'master_seed' must be a non-negative integer"):
+        if make == "batch":
+            generate_sbb_batch(HourlySeries(np.arange(50.0)), 2, 3, B=2, master_seed=seed)
+        else:
+            Ensemble(np.arange(10.0).reshape(2, 5), "test", {}, seed, "x")
+
+
+@pytest.mark.parametrize("make", ["batch", "constructor"])
+def test_numpy_integer_master_seed_is_held_as_an_int(tmp_path, make):
+    # np.int64(3) once reached write_json after every member file was written
+    source = HourlySeries(np.arange(50.0))
+    if make == "batch":
+        ens = generate_sbb_batch(source, 2, 3, B=2, master_seed=np.int64(3))
+        assert ens.values.tobytes() == generate_sbb_batch(source, 2, 3, B=2, master_seed=3).values.tobytes()
+    else:
+        ens = Ensemble(np.arange(10.0).reshape(2, 5), "test", {}, np.uint8(3), "x")
+    assert type(ens.master_seed) is int and ens.master_seed == 3
+    back = Ensemble.load(ens.save(tmp_path / "ens"))
+    assert back.master_seed == 3 and back.values.tobytes() == ens.values.tobytes()
+
+
 def test_load_missing_manifest(tmp_path):
     with pytest.raises(IOErrorSS):
         Ensemble.load(tmp_path)
