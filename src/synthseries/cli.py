@@ -134,74 +134,68 @@ def _seed(cfg: dict[str, Any], key: str) -> int:
     return seed
 
 
-def _load_series(cfg: dict[str, Any], key: str, value_column: str) -> HourlySeries:
+def _given(cfg: dict[str, Any], **kinds: type | None) -> dict[str, Any]:
+    """The keys of ``kinds`` that ``cfg`` sets, each read by ``_get`` as its
+    kind, to pass on as keywords: a key the config leaves out takes the
+    library's default."""
+    return {key: _get(cfg, key, kind) for key, kind in kinds.items() if key in cfg}
+
+
+def _load_series(cfg: dict[str, Any], key: str, column: dict[str, str]) -> HourlySeries:
     path = _get(cfg, key, Path)
     if not path.exists():
         raise IOErrorSS(f"input file not found: {path}")
-    return load_csv(path, value_column=value_column)
+    return load_csv(path, **column)
 
 
 # --- subcommands ----------------------------------------------------------
+# Each command reads and checks its whole config and computes every result,
+# then returns its outputs' writers and its stdout line for ``main`` to run.
+
+Outputs = tuple[list[Callable[[], Any]], str]
 
 
-def cmd_generate(cfg: dict[str, Any]) -> int:
-    value_column = _get(cfg, "value_column", str, "value")
-    source = _load_series(cfg, "input", value_column)
+def cmd_generate(cfg: dict[str, Any]) -> Outputs:
+    source = _load_series(cfg, "input", _given(cfg, value_column=str))
     method = _get(cfg, "method")
     params = _get(cfg, "params", dict)
     B = _get(cfg, "B", int)
     seed = _seed(cfg, "seed")
     out_dir = _get(cfg, "output_dir", Path)
-    include_self = _get(params, "include_self", bool, True)
+    options = _given(params, include_self=bool, kernel=None)
     if method == "nnlb":
-        ens = generate_nnlb_batch(
-            source, _get(params, "lag", int), _get(params, "k", int), B, seed,
-            kernel=params.get("kernel", "harmonic"), include_self=include_self,
-        )
+        ens = generate_nnlb_batch(source, _get(params, "lag", int), _get(params, "k", int), B, seed, **options)
     elif method == "sbb":
-        ens = generate_sbb_batch(
-            source, _get(params, "sash", int), _get(params, "p", int), B, seed,
-            kernel=params.get("kernel", "uniform"), include_self=include_self,
-        )
+        ens = generate_sbb_batch(source, _get(params, "sash", int), _get(params, "p", int), B, seed, **options)
     else:
         raise ConfigError(f"unknown method {method!r} (choose nnlb or sbb)")
-    ens.save(out_dir)
-    print(f"wrote {B} series to {out_dir}")
-    return EXIT_OK
+    return [partial(ens.save, out_dir)], f"wrote {B} series to {out_dir}"
 
 
-def cmd_perturb(cfg: dict[str, Any]) -> int:
-    value_column = _get(cfg, "value_column", str, "value")
+def cmd_perturb(cfg: dict[str, Any]) -> Outputs:
+    column = _given(cfg, value_column=str)
     method = _get(cfg, "method")
     out_dir = _get(cfg, "output_dir", Path)
     if method == "incremental":
-        source = _load_series(cfg, "input", value_column)
+        source = _load_series(cfg, "input", column)
         seed = _seed(cfg, "seed")
         dcfg = _get(cfg, "distribution", dict)
         below = dcfg.get("below_probability")
         dist = OffsetDistribution(
-            kind=_get(dcfg, "kind"),
-            mean=_get(dcfg, "mean", float, 0.0),
-            std=_get(dcfg, "std", float, 1.0),
+            _get(dcfg, "kind"), **_given(dcfg, mean=float, std=float),
             below_probability=None if below is None else _coerce(below, float, "below_probability"),
         )
-        ccfg = _get(cfg, "clamp", dict, {})
-        clamp = ClampPolicy(
-            alpha_max=_get(ccfg, "alpha_max", float, 1.0),
-            alpha_min=_get(ccfg, "alpha_min", float, -1.0),
-        )
+        clamp = ClampPolicy(**_given(_get(cfg, "clamp", dict, {}), alpha_max=float, alpha_min=float))
         altered = incremental_select(source, dist, clamp, seed)
         audit_source = source
     elif method == "altered_difference":
         # the method draws nothing, so a seed would be recorded but never used
         if "seed" in cfg:
             raise ConfigError("'seed' is not used by method 'altered_difference'; remove it")
-        high = _load_series(cfg, "high", value_column)
-        low = _load_series(cfg, "low", value_column)
+        high = _load_series(cfg, "high", column)
+        low = _load_series(cfg, "low", column)
         altered = altered_difference(
-            high, low, _get(cfg, "alpha", float),
-            delta_nonneg=_get(cfg, "delta_nonneg", bool, False),
-            result_nonneg=_get(cfg, "result_nonneg", bool, False),
+            high, low, _get(cfg, "alpha", float), **_given(cfg, delta_nonneg=bool, result_nonneg=bool)
         )
         audit_key = cfg.get("audit_against", "high")
         if audit_key not in ("high", "low"):
@@ -210,14 +204,7 @@ def cmd_perturb(cfg: dict[str, Any]) -> int:
     else:
         raise ConfigError(f"unknown method {method!r} (choose incremental or altered_difference)")
 
-    audit = direction_audit(
-        altered, audit_source,
-        chunk_hours=_get(cfg, "chunk_hours", int, 24),
-        threshold_fraction=_get(cfg, "threshold_fraction", float, 0.05),
-    )
-    # written only now, so a config error above leaves no output behind
-    write_csv(altered.values, out_dir / "altered.csv")
-    write_json(audit, out_dir / "audit.json")
+    audit = direction_audit(altered, audit_source, **_given(cfg, chunk_hours=int, threshold_fraction=float))
     manifest = {
         "method": altered.method,
         "params": altered.params,
@@ -225,69 +212,56 @@ def cmd_perturb(cfg: dict[str, Any]) -> int:
         "source_checksums": list(altered.source_checksums),
         "config": cfg,
     }
-    write_json(manifest, out_dir / "manifest.json")
-    print(f"wrote altered series and audit to {out_dir}")
-    return EXIT_OK
+    return [
+        partial(write_csv, altered.values, out_dir / "altered.csv"),
+        partial(write_json, audit, out_dir / "audit.json"),
+        partial(write_json, manifest, out_dir / "manifest.json"),
+    ], f"wrote altered series and audit to {out_dir}"
 
 
-def cmd_analyze(cfg: dict[str, Any]) -> int:
-    value_column = _get(cfg, "value_column", str, "value")
+def cmd_analyze(cfg: dict[str, Any]) -> Outputs:
+    column = _given(cfg, value_column=str)
     ens = Ensemble.load(_get(cfg, "ensemble_dir", Path))
-    original = _load_series(cfg, "original", value_column)
+    original = _load_series(cfg, "original", column)
     if original.checksum() != ens.source_checksum:
         raise ChecksumMismatch(
             f"original {cfg['original']} is not the series the ensemble in {cfg['ensemble_dir']} was generated from"
         )
     out_dir = _get(cfg, "output_dir", Path)
-    autocorr_lag = _get(cfg, "autocorr_lag", int, 24)
-    table = st.ensemble_summary_table(ens, original, autocorr_lag)
+    table = st.ensemble_summary_table(ens, original, **_given(cfg, autocorr_lag=int))
     tcfg = _get(cfg, "threshold", dict, {"kind": "proportional", "alpha": 0.05})
-    threshold = st.Threshold(
-        kind=tcfg.get("kind", "proportional"),
-        e=_get(tcfg, "e", float, 0.0),
-        alpha=_get(tcfg, "alpha", float, 0.0),
-    )
+    threshold = st.Threshold(kind=tcfg.get("kind", "proportional"), **_given(tcfg, e=float, alpha=float))
     length = _get(cfg, "chunk_hours", int, 24)
     statistic = cfg.get("statistic", "underage_count")
     report = st.empirical_distribution(ens, original, statistic, length, threshold)
-    distribution = report.describe()
-    # written only now, so an error above leaves no output behind
-    st.write_table_csv(table, out_dir / "summary_table.csv")
-    st.histogram_csv(report, out_dir / "exceedance_histogram.csv")
-    write_json(
-        {
-            "statistic": statistic,
-            "chunk_hours": length,
-            "threshold": tcfg,
-            "distribution": distribution,
-            "values": report.values.tolist(),
-        },
-        out_dir / "exceedance.json",
-    )
-    print(f"wrote analysis to {out_dir}")
-    return EXIT_OK
+    exceedance = {
+        "statistic": statistic,
+        "chunk_hours": length,
+        "threshold": tcfg,
+        "distribution": report.describe(),
+        "values": report.values.tolist(),
+    }
+    return [
+        partial(st.write_table_csv, table, out_dir / "summary_table.csv"),
+        partial(st.histogram_csv, report, out_dir / "exceedance_histogram.csv"),
+        partial(write_json, exceedance, out_dir / "exceedance.json"),
+    ], f"wrote analysis to {out_dir}"
 
 
-def cmd_vre(cfg: dict[str, Any]) -> int:
-    value_column = _get(cfg, "value_column", str, "value")
-    solar = _load_series(cfg, "solar", value_column)
-    wind = _load_series(cfg, "wind", value_column)
-    nuclear = _load_series(cfg, "nuclear", value_column)
-    load = _load_series(cfg, "load", value_column)
+def cmd_vre(cfg: dict[str, Any]) -> Outputs:
+    column = _given(cfg, value_column=str)
+    solar, wind, nuclear, load = [_load_series(cfg, key, column) for key in ("solar", "wind", "nuclear", "load")]
     out_dir = _get(cfg, "output_dir", Path)
-    fraction = _get(cfg, "shortfall_fraction", float, 0.9)
+    fraction = _given(cfg, shortfall_fraction=float)
     if not any(k in cfg for k in ("weights", "sweep", "ensembles")):
         raise ConfigError("vre config needs at least one of: weights, sweep, ensembles")
     if "ensembles" in cfg and "weights" not in cfg:
         raise ConfigError("ensemble adequacy requires fixed 'weights'")
-    # outputs are written only once every input has been read and checked
-    # and every result computed, so a run that fails leaves none behind
-    writes: list[Callable[[], None]] = []
+    writes: list[Callable[[], Any]] = []
     if "weights" in cfg:
         w = _get(cfg, "weights", dict)
         weights = VreWeights(_get(w, "solar", float), _get(w, "wind", float))
-        vre = combine_vre(solar, wind, weights)
-        result = compute_adequacy(vre, nuclear, load, fraction)
+        result = compute_adequacy(combine_vre(solar, wind, weights), nuclear, load, **fraction)
         writes.append(partial(write_json, {"weights": w, **result.as_dict()}, out_dir / "adequacy.json"))
 
     if "sweep" in cfg:
@@ -297,7 +271,7 @@ def cmd_vre(cfg: dict[str, Any]) -> int:
             curtailment_cap=_get(sw, "curtailment_cap", float),
             solar_weights=_get(sw, "solar_weights", list),
             wind_weights=_get(sw, "wind_weights", list),
-            shortfall_fraction=fraction,
+            **fraction,
         )
         writes.append(partial(sweep_table_csv, results, out_dir / "sweep.csv"))
 
@@ -310,7 +284,7 @@ def cmd_vre(cfg: dict[str, Any]) -> int:
             nuclear, load, weights,
             pairing_seed=_seed(e, "pairing_seed"),
             pairs=None if pairs is None else _coerce(pairs, int, "pairs"),
-            shortfall_fraction=fraction,
+            **fraction,
         )
         hist = shortfall_histogram(results)
         writes.append(partial(
@@ -327,14 +301,18 @@ def cmd_vre(cfg: dict[str, Any]) -> int:
         ))
         rows = [["shortfall_days", "count"], *hist.items()]
         writes.append(partial(write_rows, out_dir / "shortfall_histogram.csv", rows))
-
-    for write in writes:
-        write()
-    print(f"wrote case-study outputs to {out_dir}")
-    return EXIT_OK
+    return writes, f"wrote case-study outputs to {out_dir}"
 
 
 # --- entry point -----------------------------------------------------------
+
+# name -> (command, help, the config keys besides output_dir a flag overrides)
+_COMMANDS: dict[str, tuple[Callable[[dict[str, Any]], Outputs], str, tuple[str, ...]]] = {
+    "generate": (cmd_generate, "generate a bootstrap ensemble from one observed series", ("seed", "B")),
+    "perturb": (cmd_perturb, "directionally alter a series (incremental / altered-difference)", ("seed",)),
+    "analyze": (cmd_analyze, "summary tables and exceedance distributions for an ensemble", ()),
+    "vre": (cmd_vre, "weighted-VRE adequacy case study", ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,12 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     sub = parser.add_subparsers(dest="command", required=True)
     # each subcommand takes only the overrides of config keys it reads
-    for name, helptext, keys in [
-        ("generate", "generate a bootstrap ensemble from one observed series", ("seed", "B")),
-        ("perturb", "directionally alter a series (incremental / altered-difference)", ("seed",)),
-        ("analyze", "summary tables and exceedance distributions for an ensemble", ()),
-        ("vre", "weighted-VRE adequacy case study", ()),
-    ]:
+    for name, (_, helptext, keys) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("config", help="path to JSON config file")
         p.add_argument("--output-dir", default=argparse.SUPPRESS, help="override config output_dir")
@@ -356,22 +329,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "generate": cmd_generate,
-    "perturb": cmd_perturb,
-    "analyze": cmd_analyze,
-    "vre": cmd_vre,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        command, _, keys = _COMMANDS[args.command]
         cfg = _load_config(args.config)
-        cfg.update((key, getattr(args, key)) for key in ("seed", "output_dir", "B") if hasattr(args, key))
+        cfg.update((key, getattr(args, key)) for key in ("output_dir", *keys) if hasattr(args, key))
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        return _COMMANDS[args.command](cfg)
+        writes, message = command(cfg)
+        for write in writes:
+            write()
+        print(message)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -186,7 +186,6 @@ def direction_audit(
     source: HourlySeries,
     chunk_hours: int = 24,
     threshold_fraction: float = 0.05,
-    autocorr_lag: int = 24,
 ) -> dict[str, Any]:
     """Summary stats of the altered series plus daily under/over counts."""
     synthetic = altered.values
@@ -198,7 +197,7 @@ def direction_audit(
     return {
         "method": altered.method,
         "params": altered.params,
-        "stats": summarize(synthetic, autocorr_lag).as_dict(),
+        "stats": summarize(synthetic).as_dict(),
         "chunk_hours": chunk_hours,
         "threshold_fraction": threshold_fraction,
         "days_below": under_count,

@@ -1030,3 +1030,82 @@ def test_fuzzed_vre_config_exits_with_a_documented_code(tmp_path_factory, small_
         assert_json_is_finite(out)
     else:
         assert_nothing_written(out)
+
+
+def default_cases(solar_dir: Path, wind_dir: Path) -> dict[str, tuple[str, dict, dict]]:
+    """case -> (command, a config with only its required keys, every optional
+    key it reads at the default the README gives, ``"section.key"`` inside a
+    section)."""
+    same = {"value_column": "value"}
+    audit = {"chunk_hours": 24, "threshold_fraction": 0.05}
+    return {
+        "generate_nnlb": ("generate",
+                          {"input": SOLAR, "method": "nnlb", "params": {"lag": 3, "k": 4}, "B": 2, "seed": 1},
+                          {**same, "params.kernel": "harmonic", "params.include_self": True}),
+        "generate_sbb": ("generate",
+                         {"input": SOLAR, "method": "sbb", "params": {"sash": 2, "p": 4}, "B": 2, "seed": 1},
+                         {**same, "params.kernel": "uniform", "params.include_self": True}),
+        "perturb_incremental": ("perturb",
+                                {"method": "incremental", "input": WIND, "seed": 3,
+                                 "distribution": {"kind": "normal"}},
+                                {**same, "distribution.mean": 0.0, "distribution.std": 1.0,
+                                 "distribution.below_probability": None,
+                                 "clamp": {"alpha_max": 1.0, "alpha_min": -1.0}, **audit}),
+        "perturb_altered_difference": ("perturb",
+                                       {"method": "altered_difference", "high": WIND, "low": SOLAR, "alpha": 0.5},
+                                       {**same, "delta_nonneg": False, "result_nonneg": False,
+                                        "audit_against": "high", **audit}),
+        "analyze": ("analyze",
+                    {"ensemble_dir": str(solar_dir), "original": SOLAR},
+                    {**same, "autocorr_lag": 24, "chunk_hours": 24, "statistic": "underage_count",
+                     "threshold": {"kind": "proportional", "alpha": 0.05}}),
+        "vre": ("vre",
+                {"solar": SOLAR, "wind": WIND, "nuclear": NUCLEAR, "load": LOAD,
+                 "weights": {"solar": 3, "wind": 2},
+                 "sweep": {"curtailment_cap": 0.5, "solar_weights": [0, 3], "wind_weights": [0, 2]},
+                 "ensembles": {"solar_dir": str(solar_dir), "wind_dir": str(wind_dir), "pairing_seed": 7}},
+                {**same, "shortfall_fraction": 0.9, "ensembles.pairs": None}),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(default_cases(Path(), Path())))
+def test_optional_keys_written_at_their_defaults_change_no_output_byte(tmp_path, small_ensembles, case):
+    """Each default is written in one place, the library: a config that spells
+    out every optional key at its documented default writes the same bytes as
+    one that leaves them out. Only perturb's manifest echoes the config."""
+    command, minimal, defaults = default_cases(*small_ensembles)[case]
+    outputs = {}
+    for name, cfg in [("minimal", minimal), ("spelled_out", with_settings(minimal, defaults))]:
+        out = tmp_path / name
+        assert main([command, write_config(tmp_path, cfg | {"output_dir": str(out)})]) == EXIT_OK
+        outputs[name] = dir_bytes(out)
+        if command == "perturb":
+            manifest = json.loads(outputs[name]["manifest.json"])
+            assert manifest.pop("config") == cfg | {"output_dir": str(out)}
+            outputs[name]["manifest.json"] = manifest
+    assert outputs["minimal"] == outputs["spelled_out"]
+
+
+@pytest.mark.parametrize("command, line", [
+    ("generate", "wrote 2 series to {out}\n"),
+    ("perturb", "wrote altered series and audit to {out}\n"),
+    ("analyze", "wrote analysis to {out}\n"),
+    ("vre", "wrote case-study outputs to {out}\n"),
+])
+def test_each_command_prints_its_summary_line_and_a_failing_run_prints_none(tmp_path, capsys, small_ensembles,
+                                                                            command, line):
+    out = tmp_path / "out"
+    cfg = TestExitCodes._config(command, small_ensembles[0], out)
+    assert main([command, write_config(tmp_path, cfg)]) == EXIT_OK
+    assert capsys.readouterr() == (line.format(out=out), "")
+
+    # a config error, found before any result is computed
+    assert main([command, write_config(tmp_path, {k: v for k, v in cfg.items() if k != "output_dir"})]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", "config error: config missing required key 'output_dir'\n")
+
+    # a write that fails, after every result is computed
+    (tmp_path / "file").write_text("not a directory", encoding="utf-8")
+    cfg["output_dir"] = str(tmp_path / "file" / "out")
+    assert main([command, write_config(tmp_path, cfg)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("io error: ")
